@@ -335,7 +335,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_train = sub.add_parser("train", help="train a network from a JSON config")
     p_train.add_argument("--config", required=True, help="path to the JSON run config")
     p_train.add_argument("--threads", type=int, default=1,
-                         help="worker threads for batch gradients (default 1)")
+                         help="accepted for compatibility; has no effect (must be >= 1)")
 
     p_bench = sub.add_parser("bench", help="benchmark dense vs crosswise forward passes")
     p_bench.add_argument("--dims", action="append", required=True, metavar="NxM",

@@ -31,6 +31,12 @@ class Dataset:
             raise ShapeError(
                 f"{self.labels.shape[0]} labels for {self.features.shape[0]} rows"
             )
+        bad = np.argwhere(~np.isfinite(self.features))
+        if bad.size:
+            row, col = bad[0]
+            raise ParameterError(
+                f"features must be finite, got {self.features[row, col]} at row {row}, column {col}"
+            )
         if self.class_count < 0:
             raise ParameterError(f"class_count must be >= 0, got {self.class_count}")
         if self.class_count > 0:
@@ -43,6 +49,8 @@ class Dataset:
             self.labels = labels
         else:
             self.labels = self.labels.astype(np.float64)
+            if not np.all(np.isfinite(self.labels)):
+                raise ParameterError("regression labels must be finite")
 
     @property
     def sample_count(self) -> int:

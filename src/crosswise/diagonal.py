@@ -78,16 +78,19 @@ def decurto_product(c: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _pre_activation(w: CrosswiseWeights, x: np.ndarray) -> np.ndarray:
-    if x.shape != (w.in_dim,):
+    if x.shape[-1:] != (w.in_dim,):
         raise ShapeError(
-            f"crosswise input must have length {w.in_dim}, got {x.shape[0]}"
+            f"crosswise input must have length {w.in_dim}, got shape {x.shape}"
         )
-    z = w.c * np.tile(x, w.k)
-    return z[: w.out_dim] + w.b
+    z = x[..., None, :] * w.c.reshape(w.k, w.in_dim)
+    return z.reshape(*x.shape[:-1], w.k * w.in_dim)[..., : w.out_dim] + w.b
 
 
 def crosswise_forward(w: CrosswiseWeights, x: np.ndarray, activation: str = "relu") -> np.ndarray:
-    """Blockwise diagonal map, truncated to M outputs, plus bias and activation."""
+    """Blockwise diagonal map, truncated to M outputs, plus bias and activation.
+
+    `x` is one input of length N or a `(B, N)` batch of them, one per row.
+    """
     _check_activation(activation)
     pre = _pre_activation(w, x)
     if activation == "relu":
@@ -108,23 +111,25 @@ def crosswise_backward(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradients (grad_c, grad_b, grad_x) of the forward map.
 
+    For a `(B, N)` batch `x` with `(B, M)` upstream gradients, grad_c and
+    grad_b are summed over the rows and grad_x has one row per input row.
     The ReLU derivative at a pre-activation of exactly 0 is taken as 0.
     """
     _check_activation(activation)
-    if upstream.shape != (w.out_dim,):
-        raise ShapeError(
-            f"upstream must have length {w.out_dim}, got {upstream.shape[0]}"
-        )
     pre = _pre_activation(w, x)
+    if upstream.shape != pre.shape:
+        raise ShapeError(f"upstream must have shape {pre.shape}, got {upstream.shape}")
     if activation == "relu":
         g = np.where(pre > 0.0, upstream, 0.0)
     else:
         g = np.asarray(upstream, dtype=np.float64)
-    g_ext = np.zeros(w.k * w.in_dim)
-    g_ext[: w.out_dim] = g
-    grad_c = g_ext * np.tile(x, w.k)
-    grad_x = (w.c * g_ext).reshape(w.k, w.in_dim).sum(axis=0)
-    return grad_c, g.copy(), grad_x
+    g_ext = np.zeros((*g.shape[:-1], w.k * w.in_dim))
+    g_ext[..., : w.out_dim] = g
+    g_blocks = g_ext.reshape(*g.shape[:-1], w.k, w.in_dim)
+    grad_c = (g_blocks * x[..., None, :]).reshape(-1, w.k * w.in_dim).sum(axis=0)
+    grad_b = g.reshape(-1, w.out_dim).sum(axis=0)
+    grad_x = (w.c.reshape(w.k, w.in_dim) * g_blocks).sum(axis=-2)
+    return grad_c, grad_b, grad_x
 
 
 def init_crosswise(seed: int, in_dim: int, out_dim: int, scheme: str = "uniform_scaled") -> CrosswiseWeights:

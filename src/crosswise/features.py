@@ -32,25 +32,26 @@ def next_power_of_two(d: int) -> int:
 
 
 def fwht(v: np.ndarray) -> np.ndarray:
-    """Apply the unnormalized Walsh-Hadamard matrix in O(n log n).
+    """Apply the unnormalized Walsh-Hadamard matrix along the last axis in O(n log n).
 
-    H_2 = [[1, 1], [1, -1]] and H_{2n} = H_2 kron H_n; the input length must
-    be a power of two.  The input is not modified.
+    H_2 = [[1, 1], [1, -1]] and H_{2n} = H_2 kron H_n; the last axis must have
+    power-of-two length.  A `(B, n)` input transforms each row exactly as the
+    row alone would be transformed.  The input is not modified.
     """
-    n = v.shape[0]
+    n = v.shape[-1]
     if n < 1 or (n & (n - 1)) != 0:
         raise ShapeError(f"fwht length must be a power of two, got {n}")
     a = np.array(v, dtype=np.float64)
+    lead = a.shape[:-1]
     h = 1
     while h < n:
-        a = a.reshape(n // (2 * h), 2, h)
-        top = a[:, 0, :] + a[:, 1, :]
-        bottom = a[:, 0, :] - a[:, 1, :]
-        a[:, 0, :] = top
-        a[:, 1, :] = bottom
-        a = a.reshape(n)
+        a = a.reshape(*lead, n // (2 * h), 2, h)
+        top = a[..., 0, :] + a[..., 1, :]
+        bottom = a[..., 0, :] - a[..., 1, :]
+        a[..., 0, :] = top
+        a[..., 1, :] = bottom
         h *= 2
-    return a
+    return a.reshape(v.shape)
 
 
 @dataclass

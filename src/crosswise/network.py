@@ -13,14 +13,18 @@ Layer kinds:
 ``softmax_output`` is an identity at forward time: the layer emits logits and
 the cross-entropy loss applies a stabilized softmax internally, which yields
 the usual fused gradient (softmax(logits) - target).
+
+Every layer op, `network_forward`, `network_backward` and `loss_eval` take
+one sample as a vector or a `(B, d)` batch with one sample per row; a vector
+is the B=1 case of the same code.  Parameter gradients come back summed over
+the rows, input gradients stay per row, and `loss_eval` is the mean over rows.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -133,11 +137,11 @@ class DenseLayer:
         return {"w": self.w, "b": self.b}
 
     def forward(self, x: np.ndarray):
-        if x.shape != (self.spec.in_dim,):
+        if x.shape[-1:] != (self.spec.in_dim,):
             raise ShapeError(
-                f"expected input of length {self.spec.in_dim}, got {x.shape}"
+                f"expected input of length {self.spec.in_dim}, got shape {x.shape}"
             )
-        pre = self.w @ x + self.b
+        pre = x @ self.w.T + self.b
         out = np.maximum(pre, 0.0) if self.spec.activation == "relu" else pre
         return out, (x, pre)
 
@@ -147,20 +151,9 @@ class DenseLayer:
             g_pre = np.where(pre > 0.0, g_out, 0.0)
         else:
             g_pre = g_out
-        grads = {"w": np.outer(g_pre, x), "b": g_pre.copy()}
-        return grads, self.w.T @ g_pre
-
-    @property
-    def weight_count(self) -> int:
-        return self.spec.in_dim * self.spec.out_dim
-
-    @property
-    def mult_count(self) -> int:
-        return self.spec.in_dim * self.spec.out_dim
-
-    @property
-    def fwht_ops(self) -> int:
-        return 0
+        rows = g_pre.reshape(-1, self.spec.out_dim)
+        grads = {"w": rows.T @ x.reshape(-1, self.spec.in_dim), "b": rows.sum(axis=0)}
+        return grads, g_pre @ self.w
 
 
 class CrosswiseLayer:
@@ -188,18 +181,6 @@ class CrosswiseLayer:
             self.weights, x, g_out, _inner_activation(self.spec.activation)
         )
         return {"c": grad_c, "b": grad_b}, grad_x
-
-    @property
-    def weight_count(self) -> int:
-        return self.weights.k * self.weights.in_dim
-
-    @property
-    def mult_count(self) -> int:
-        return self.weights.k * self.weights.in_dim
-
-    @property
-    def fwht_ops(self) -> int:
-        return 0
 
 
 class CrosswiseMixedLayer:
@@ -233,17 +214,14 @@ class CrosswiseMixedLayer:
     def params(self) -> dict:
         return {"c": self.weights.c, "b": self.weights.b}
 
-    def _mix(self, x: np.ndarray) -> np.ndarray:
-        padded = np.zeros(self.pad)
-        padded[: x.shape[0]] = x
-        return fwht(self.signs * padded)[self.perm] * self._scale
-
     def forward(self, x: np.ndarray):
-        if x.shape != (self.spec.in_dim,):
+        if x.shape[-1:] != (self.spec.in_dim,):
             raise ShapeError(
-                f"expected input of length {self.spec.in_dim}, got {x.shape}"
+                f"expected input of length {self.spec.in_dim}, got shape {x.shape}"
             )
-        u = self._mix(x)
+        padded = np.zeros((*x.shape[:-1], self.pad))
+        padded[..., : self.spec.in_dim] = x
+        u = fwht(self.signs * padded)[..., self.perm] * self._scale
         out = crosswise_forward(self.weights, u, _inner_activation(self.spec.activation))
         return out, u
 
@@ -254,32 +232,10 @@ class CrosswiseMixedLayer:
         )
         # Transpose of the mixing stage: unscale, unpermute, FWHT (symmetric),
         # sign-flip, then drop the padding coordinates.
-        g_v = np.zeros(self.pad)
-        g_v[self.perm] = grad_u * self._scale
-        g_x = (self.signs * fwht(g_v))[: self.spec.in_dim]
+        g_v = np.zeros(grad_u.shape)
+        g_v[..., self.perm] = grad_u * self._scale
+        g_x = (self.signs * fwht(g_v))[..., : self.spec.in_dim]
         return {"c": grad_c, "b": grad_b}, g_x
-
-    def mixing_as_dense(self) -> np.ndarray:
-        """Explicit pad x in_dim matrix of the fixed mixing stage (oracle hook)."""
-        cols = []
-        for j in range(self.spec.in_dim):
-            e = np.zeros(self.spec.in_dim)
-            e[j] = 1.0
-            cols.append(self._mix(e))
-        return np.stack(cols, axis=1)
-
-    @property
-    def weight_count(self) -> int:
-        return self.weights.k * self.pad
-
-    @property
-    def mult_count(self) -> int:
-        # pad sign flips plus the learned diagonal products.
-        return self.pad + self.weights.k * self.pad
-
-    @property
-    def fwht_ops(self) -> int:
-        return self.pad * int(math.log2(self.pad))
 
 
 def build_network(spec: NetworkSpec) -> "Network":
@@ -323,13 +279,7 @@ class Network:
 
 
 def network_forward(net: Network, x: np.ndarray) -> np.ndarray:
-    out = np.asarray(x, dtype=np.float64)
-    for i, layer in enumerate(net.layers):
-        try:
-            out, _ = layer.forward(out)
-        except ShapeError as exc:
-            raise ShapeError(f"layer {i}: {exc}") from exc
-    return out
+    return _forward_with_caches(net, x)[0]
 
 
 def _forward_with_caches(net: Network, x: np.ndarray):
@@ -345,17 +295,19 @@ def _forward_with_caches(net: Network, x: np.ndarray):
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
-    shifted = z - np.max(z)
+    """Stabilized softmax of each row (of the vector, for 1-D input)."""
+    shifted = z - np.max(z, axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / np.sum(e)
+    return e / np.sum(e, axis=-1, keepdims=True)
 
 
 def _check_one_hot(target: np.ndarray):
-    if not (np.all((target == 0.0) | (target == 1.0)) and np.sum(target) == 1.0):
+    if not (np.all((target == 0.0) | (target == 1.0)) and np.all(np.sum(target, axis=-1) == 1.0)):
         raise ParameterError("cross_entropy target must be one-hot")
 
 
 def loss_eval(kind: str, prediction: np.ndarray, target: np.ndarray) -> float:
+    """Loss of one prediction vector, or the mean loss over the rows of a batch."""
     if kind not in LOSS_KINDS:
         raise ParameterError(f"loss must be one of {LOSS_KINDS}, got {kind!r}")
     prediction = np.asarray(prediction, dtype=np.float64)
@@ -369,20 +321,25 @@ def loss_eval(kind: str, prediction: np.ndarray, target: np.ndarray) -> float:
         return float(np.mean(diff * diff))
     _check_one_hot(target)
     # -log softmax(prediction)[hot] with log-sum-exp stabilization.
-    shifted = prediction - np.max(prediction)
-    log_norm = math.log(np.sum(np.exp(shifted)))
-    return float(log_norm - shifted[np.argmax(target)])
+    shifted = prediction - np.max(prediction, axis=-1, keepdims=True)
+    log_norm = np.log(np.sum(np.exp(shifted), axis=-1))
+    hot = np.take_along_axis(shifted, np.argmax(target, axis=-1)[..., None], axis=-1)
+    return float(np.mean(log_norm - hot[..., 0]))
 
 
 def _loss_gradient(kind: str, prediction: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Gradient of each row's own loss with respect to that row's prediction."""
     if kind == "mse":
-        return 2.0 * (prediction - target) / prediction.shape[0]
+        return 2.0 * (prediction - target) / prediction.shape[-1]
     _check_one_hot(target)
     return softmax(prediction) - target
 
 
 def network_backward(net: Network, x: np.ndarray, target: np.ndarray, loss_kind: str) -> list:
-    """Per-layer gradient dicts (same keys/shapes as each layer's params())."""
+    """Per-layer gradient dicts (same keys/shapes as each layer's params()).
+
+    For a `(B, d)` batch the gradients are those of the sum of the rows' losses.
+    """
     grads, _ = _backward_with_loss(net, x, target, loss_kind)
     return grads
 
@@ -413,37 +370,36 @@ def sgd_step(net: Network, grads: list, learning_rate: float) -> Network:
     return net
 
 
-def _targets_for(data, out_dim: int) -> list:
+def _targets_for(data, out_dim: int) -> np.ndarray:
     if data.class_count > 0:
         if data.class_count != out_dim:
             raise ShapeError(
                 f"dataset has {data.class_count} classes but the network emits {out_dim}"
             )
-        targets = []
-        for label in data.labels:
-            t = np.zeros(out_dim)
-            t[int(label)] = 1.0
-            targets.append(t)
-        return targets
+        return np.eye(out_dim)[data.labels]
     if out_dim != 1:
         raise ShapeError(
             f"regression targets are scalar but the network emits {out_dim}"
         )
-    return [np.array([float(v)]) for v in data.labels]
+    return data.labels.reshape(-1, 1)
 
 
 def _accuracy(net: Network, data) -> float:
     if data.class_count == 0:
         return 0.0
-    hits = 0
-    for row, label in zip(data.features, data.labels):
-        if int(np.argmax(network_forward(net, row))) == int(label):
-            hits += 1
-    return hits / data.features.shape[0]
+    predicted = np.argmax(network_forward(net, data.features), axis=-1)
+    return float(np.mean(predicted == data.labels))
 
 
 def train_network(net: Network, cfg: TrainConfig, data, threads: int = 1) -> list:
-    """Mutates net in place; returns the per-epoch history."""
+    """Mutates net in place; returns the per-epoch history.
+
+    Each mini-batch is one `(B, d)` forward and backward pass, and the step
+    uses the mean of its rows' gradients.  `threads` is accepted for
+    compatibility and has no effect; it must be at least 1.
+    """
+    if threads < 1:
+        raise ParameterError(f"threads must be >= 1, got {threads}")
     n = data.features.shape[0]
     if cfg.batch_size > n:
         raise ParameterError(f"batch_size {cfg.batch_size} exceeds dataset size {n}")
@@ -453,56 +409,34 @@ def train_network(net: Network, cfg: TrainConfig, data, threads: int = 1) -> lis
         )
     targets = _targets_for(data, net.out_dim)
     history: list = []
-
-    def sample_grads(idx: int):
-        return _backward_with_loss(net, data.features[idx], targets[idx], cfg.loss)
-
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-    try:
-        for epoch in range(1, cfg.epochs + 1):
-            started = time.perf_counter()
-            order = CounterRng(cfg.seed, stream=epoch).permutation(n)
-            loss_sum = 0.0
-            for start in range(0, n, cfg.batch_size):
-                batch = [int(i) for i in order[start : start + cfg.batch_size]]
-                if pool is not None:
-                    results = list(pool.map(sample_grads, batch))
-                else:
-                    results = [sample_grads(i) for i in batch]
-                # Reduce in sample-index order regardless of worker count.
-                avg = None
-                batch_loss = 0.0
-                for grads, loss in results:
-                    batch_loss += loss
-                    if avg is None:
-                        avg = [{k: v.copy() for k, v in g.items()} for g in grads]
-                    else:
-                        for acc, g in zip(avg, grads):
-                            for k in acc:
-                                acc[k] += g[k]
-                scale = 1.0 / len(batch)
-                for acc in avg:
-                    for k in acc:
-                        acc[k] *= scale
-                batch_loss *= scale
-                if not math.isfinite(batch_loss):
-                    raise DivergenceError(f"non-finite loss at epoch {epoch}")
-                sgd_step(net, avg, cfg.learning_rate)
-                loss_sum += batch_loss * len(batch)
-            epoch_loss = loss_sum / n
-            if not math.isfinite(epoch_loss):
-                raise DivergenceError(f"non-finite loss at epoch {epoch}")
-            history.append(
-                EpochRecord(
-                    epoch=epoch,
-                    train_loss=epoch_loss,
-                    train_accuracy=_accuracy(net, data),
-                    wall_ms=(time.perf_counter() - started) * 1e3,
-                )
+    for epoch in range(1, cfg.epochs + 1):
+        started = time.perf_counter()
+        order = CounterRng(cfg.seed, stream=epoch).permutation(n)
+        loss_sum = 0.0
+        for start in range(0, n, cfg.batch_size):
+            batch = order[start : start + cfg.batch_size]
+            grads, batch_loss = _backward_with_loss(
+                net, data.features[batch], targets[batch], cfg.loss
             )
-    finally:
-        if pool is not None:
-            pool.shutdown()
+            if not math.isfinite(batch_loss):
+                raise DivergenceError(f"non-finite loss at epoch {epoch}")
+            scale = 1.0 / len(batch)
+            for layer_grads in grads:
+                for g in layer_grads.values():
+                    g *= scale
+            sgd_step(net, grads, cfg.learning_rate)
+            loss_sum += batch_loss * len(batch)
+        epoch_loss = loss_sum / n
+        if not math.isfinite(epoch_loss):
+            raise DivergenceError(f"non-finite loss at epoch {epoch}")
+        history.append(
+            EpochRecord(
+                epoch=epoch,
+                train_loss=epoch_loss,
+                train_accuracy=_accuracy(net, data),
+                wall_ms=(time.perf_counter() - started) * 1e3,
+            )
+        )
     return history
 
 
@@ -540,41 +474,32 @@ class MultCounts:
         return sum(self.fwht_ops)
 
 
-def _layer_weight_count(lspec: LayerSpec) -> int:
+def _layer_counts(lspec: LayerSpec) -> tuple[int, int, int]:
+    """(learned weights, multiplications per forward, FWHT butterfly ops) of one layer."""
     if lspec.kind == "dense":
-        return lspec.in_dim * lspec.out_dim
+        return lspec.in_dim * lspec.out_dim, lspec.in_dim * lspec.out_dim, 0
     if lspec.kind == "crosswise":
-        return block_count(lspec.in_dim, lspec.out_dim) * lspec.in_dim
+        weights = block_count(lspec.in_dim, lspec.out_dim) * lspec.in_dim
+        return weights, weights, 0
     pad = next_power_of_two(lspec.in_dim)
-    return block_count(pad, lspec.out_dim) * pad
+    weights = block_count(pad, lspec.out_dim) * pad
+    # The fixed sign diagonal costs pad multiplications on top of the learned
+    # diagonal products; butterfly ops are counted separately.
+    return weights, pad + weights, pad * int(math.log2(pad))
 
 
 def count_weights(spec: NetworkSpec) -> ParamCounts:
     """Learned multiplicative weights per layer; biases reported separately."""
     return ParamCounts(
-        weights=[_layer_weight_count(l) for l in spec.layers],
+        weights=[_layer_counts(l)[0] for l in spec.layers],
         biases=[l.out_dim for l in spec.layers],
     )
 
 
 def count_mults(spec: NetworkSpec) -> MultCounts:
     """Multiplications per forward pass; FWHT add/subtract pairs in their own column."""
-    mults = []
-    fwht_ops = []
-    for lspec in spec.layers:
-        if lspec.kind == "dense":
-            mults.append(lspec.in_dim * lspec.out_dim)
-            fwht_ops.append(0)
-        elif lspec.kind == "crosswise":
-            mults.append(block_count(lspec.in_dim, lspec.out_dim) * lspec.in_dim)
-            fwht_ops.append(0)
-        else:
-            pad = next_power_of_two(lspec.in_dim)
-            # The fixed sign diagonal costs pad multiplications on top of the
-            # learned diagonal products; butterfly ops are counted separately.
-            mults.append(pad + block_count(pad, lspec.out_dim) * pad)
-            fwht_ops.append(pad * int(math.log2(pad)))
-    return MultCounts(mults=mults, fwht_ops=fwht_ops)
+    counts = [_layer_counts(l) for l in spec.layers]
+    return MultCounts(mults=[c[1] for c in counts], fwht_ops=[c[2] for c in counts])
 
 
 def model_to_json(net: Network) -> dict:

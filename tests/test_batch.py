@@ -1,0 +1,158 @@
+"""A `(B, d)` batch gives, row by row, what each row gives alone.
+
+Every layer kind, loss and the FWHT accept a batch with one sample per row.
+These properties pin that batch path to the single-row one (parameter
+gradients summed over rows, input gradients per row) and to the naive
+oracles, across dims that are and are not powers of two, M<N, M=N, M>N
+and batch sizes 1..8.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from crosswise.features import fwht, next_power_of_two
+from crosswise.network import (
+    LAYER_KINDS,
+    LayerSpec,
+    NetworkSpec,
+    build_network,
+    loss_eval,
+    network_backward,
+    network_forward,
+    softmax,
+)
+from crosswise.rng import CounterRng
+
+from oracles import dense_embedding, hadamard_matrix, naive_fwht
+
+DIMS = (1, 2, 3, 4, 5, 8, 13, 16)
+RELATIONS = ("M<N", "M=N", "M>N")
+PROPERTY = settings(max_examples=25, deadline=None)
+
+
+def _close(actual, expected, rel=1e-12):
+    """Equal within `rel` of the larger of 1 and the expected array's scale."""
+    scale = max(1.0, float(np.max(np.abs(expected), initial=0.0)))
+    np.testing.assert_allclose(actual, expected, rtol=0.0, atol=rel * scale)
+
+
+def _normals(seed, stream, *shape):
+    return CounterRng(seed, stream=stream).normal(math.prod(shape)).reshape(shape)
+
+
+@st.composite
+def _layer_case(draw, relation):
+    n = draw(st.sampled_from(DIMS[1:] if relation == "M<N" else DIMS))
+    if relation == "M<N":
+        m = draw(st.integers(1, n - 1))
+    elif relation == "M=N":
+        m = n
+    else:
+        m = draw(st.integers(n + 1, 3 * n + 1))
+    activation = draw(st.sampled_from(("relu", "identity", "softmax_output")))
+    return n, m, activation, draw(st.integers(1, 8)), draw(st.integers(0, 2**32 - 1))
+
+
+def _layer(kind, n, m, activation, seed):
+    spec = LayerSpec(kind=kind, in_dim=n, out_dim=m, activation=activation)
+    layer = build_network(NetworkSpec(layers=(spec,), seed=seed)).layers[0]
+    layer.params()["b"][:] = _normals(seed, 7, m)
+    return layer
+
+
+@pytest.mark.parametrize("relation", RELATIONS)
+@pytest.mark.parametrize("kind", LAYER_KINDS)
+def test_layer_batch_equals_rows(kind, relation):
+    @PROPERTY
+    @given(_layer_case(relation))
+    def check(case):
+        n, m, activation, batch, seed = case
+        layer = _layer(kind, n, m, activation, seed)
+        x = _normals(seed, 8, batch, n)
+        g_out = _normals(seed, 9, batch, m)
+
+        out, cache = layer.forward(x)
+        grads, g_x = layer.backward(cache, g_out)
+        assert out.shape == (batch, m) and g_x.shape == (batch, n)
+
+        summed = {name: np.zeros_like(p) for name, p in layer.params().items()}
+        for i in range(batch):
+            out_i, cache_i = layer.forward(x[i])
+            grads_i, g_x_i = layer.backward(cache_i, g_out[i])
+            _close(out[i], out_i)
+            _close(g_x[i], g_x_i)
+            for name in summed:
+                summed[name] += grads_i[name]
+        for name, total in summed.items():
+            assert grads[name].shape == total.shape
+            _close(grads[name], total)
+
+    check()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 6), st.integers(1, 8), st.integers(0, 2**32 - 1))
+def test_fwht_batch_equals_rows_and_naive(log_n, batch, seed):
+    x = _normals(seed, 0, batch, 2**log_n)
+    kept = x.copy()
+    out = fwht(x)
+    np.testing.assert_array_equal(x, kept)
+    assert out.shape == x.shape
+    for i in range(batch):
+        np.testing.assert_array_equal(out[i], fwht(x[i]))
+        np.testing.assert_allclose(out[i], naive_fwht(x[i]), rtol=0.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("relation", RELATIONS)
+def test_mixed_layer_batch_equals_dense_oracle(relation):
+    @PROPERTY
+    @given(_layer_case(relation))
+    def check(case):
+        n, m, activation, batch, seed = case
+        layer = _layer("crosswise_mixed", n, m, activation, seed)
+        pad = next_power_of_two(n)
+        mix = hadamard_matrix(pad)[layer.perm, :] * layer.signs[None, :] / math.sqrt(pad)
+        dense = dense_embedding(layer.weights.c, pad, m) @ mix[:, :n]
+        x = _normals(seed, 8, batch, n)
+        expected = x @ dense.T + layer.weights.b
+        if activation == "relu":
+            expected = np.maximum(expected, 0.0)
+        _close(layer.forward(x)[0], expected)
+
+    check()
+
+
+@pytest.mark.parametrize("loss_kind", ("mse", "cross_entropy"))
+@PROPERTY
+@given(st.sampled_from(LAYER_KINDS), st.sampled_from(DIMS), st.integers(1, 8),
+       st.integers(0, 2**32 - 1))
+def test_network_loss_and_gradients_batch_equal_rows(loss_kind, kind, n, batch, seed):
+    classes = 3
+    spec = NetworkSpec(layers=(
+        LayerSpec(kind=kind, in_dim=n, out_dim=5, activation="relu"),
+        LayerSpec(kind=kind, in_dim=5, out_dim=classes,
+                  activation="softmax_output" if loss_kind == "cross_entropy" else "identity"),
+    ), seed=seed)
+    net = build_network(spec)
+    x = _normals(seed, 10, batch, n)
+    if loss_kind == "cross_entropy":
+        target = np.eye(classes)[CounterRng(seed, stream=11).integers(batch, 0, classes)]
+    else:
+        target = _normals(seed, 11, batch, classes)
+
+    rows_out = [network_forward(net, x[i]) for i in range(batch)]
+    _close(network_forward(net, x), np.array(rows_out))
+    if loss_kind == "cross_entropy":
+        _close(softmax(network_forward(net, x)), np.array([softmax(o) for o in rows_out]))
+    row_losses = [loss_eval(loss_kind, rows_out[i], target[i]) for i in range(batch)]
+    _close(loss_eval(loss_kind, network_forward(net, x), target), np.mean(row_losses))
+
+    grads = network_backward(net, x, target, loss_kind)
+    row_grads = [network_backward(net, x[i], target[i], loss_kind) for i in range(batch)]
+    for li, layer_grads in enumerate(grads):
+        for name, g in layer_grads.items():
+            _close(g, sum(rg[li][name] for rg in row_grads))

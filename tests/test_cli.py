@@ -108,6 +108,33 @@ def test_train_csv_dataset_roundtrip(tmp_path):
     assert run_cli("train", "--config", write_config(tmp_path, cfg)).returncode == 0
 
 
+def test_train_rejects_threads_below_one(tmp_path):
+    config = write_config(tmp_path, base_config(tmp_path))
+    for threads in ("0", "-5"):
+        result = run_cli("train", "--config", config, "--threads", threads)
+        assert result.returncode == 2, result.stderr
+        assert "threads" in result.stderr
+
+
+def test_train_rejects_non_finite_csv(tmp_path):
+    cases = {
+        "features": ("f0,f1,label\n1.0,nan,0\n0.5,0.5,1\n", 2, "softmax_output", "cross_entropy"),
+        "regression labels": ("f0,f1,label\n1.0,0.0,0.5\n0.5,0.5,inf\n", 1, "identity", "mse"),
+    }
+    for what, (text, out, activation, loss) in cases.items():
+        data_path = tmp_path / "data.csv"
+        data_path.write_text(text)
+        cfg = base_config(tmp_path)
+        cfg["network"]["layers"] = [
+            {"kind": "dense", "in": 2, "out": out, "activation": activation},
+        ]
+        cfg["train"].update(batch=1, loss=loss)
+        cfg["data"] = {"kind": "csv", "path": str(data_path)}
+        result = run_cli("train", "--config", write_config(tmp_path, cfg))
+        assert result.returncode == 2, result.stderr
+        assert f"{what} must be finite" in result.stderr
+
+
 def test_bench_counts_and_report(tmp_path):
     out = tmp_path / "bench.csv"
     result = run_cli("bench", "--dims", "4x8", "--reps", "10", "--out", str(out))

@@ -16,6 +16,12 @@ def test_dataset_validation():
         Dataset(features=np.zeros((2, 2)), labels=np.array([0, 5]), class_count=2)
     with pytest.raises(ParameterError):
         Dataset(features=np.zeros((2, 2)), labels=np.array([0, 1]), class_count=-1)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ParameterError):
+            Dataset(features=np.array([[0.0, bad], [1.0, 1.0]]), labels=np.array([0, 1]),
+                    class_count=2)
+        with pytest.raises(ParameterError):
+            Dataset(features=np.zeros((2, 2)), labels=np.array([0.5, bad]), class_count=0)
 
 
 def test_blobs_construction():
