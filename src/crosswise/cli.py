@@ -272,17 +272,17 @@ def cmd_kernel_check(args) -> int:
     if np.any(norms < 1e-12):
         raise SamplingError("degenerate pair draw; use a different seed")
     points = raw / norms[:, None]
-    pairs = [(points[2 * i], points[2 * i + 1]) for i in range(args.pairs)]
 
     lines = []
     summary = []
     for block_count in blocks:
         fm = sample_feature_map(derive_seed(args.seed, block_count), args.d,
                                 args.sigma, block_count)
+        phi = feature_map_apply(fm, points)
         errors = []
-        for i, (x, y) in enumerate(pairs):
-            exact = kernel_exact(x, y, args.sigma)
-            approx = float(feature_map_apply(fm, x) @ feature_map_apply(fm, y))
+        for i in range(args.pairs):
+            exact = kernel_exact(points[2 * i], points[2 * i + 1], args.sigma)
+            approx = float(phi[2 * i] @ phi[2 * i + 1])
             err = abs(exact - approx)
             errors.append(err)
             lines.append(f"{block_count},{i},{repr(exact)},{repr(approx)},{repr(err)}")

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -37,21 +38,42 @@ def fwht(v: np.ndarray) -> np.ndarray:
     H_2 = [[1, 1], [1, -1]] and H_{2n} = H_2 kron H_n; the last axis must have
     power-of-two length.  A `(B, n)` input transforms each row exactly as the
     row alone would be transformed.  The input is not modified.
+
+    Radix-4, in place on one copy of the input: each pass applies the
+    butterfly levels h and 2h, and an odd level count ends with one radix-2
+    level.  These are the butterflies of the radix-2 recursion h = 1, 2, 4, ...
+    on the same pairs in the same order, so the result is bit-identical to it.
     """
-    n = v.shape[-1]
+    # C order, so that every reshape below is a view of this one copy.
+    a = np.array(v, dtype=np.float64, order="C")
+    if a.ndim == 0:
+        raise ShapeError("fwht needs an array with a last axis, got a scalar")
+    n = a.shape[-1]
     if n < 1 or (n & (n - 1)) != 0:
         raise ShapeError(f"fwht length must be a power of two, got {n}")
-    a = np.array(v, dtype=np.float64)
-    lead = a.shape[:-1]
     h = 1
-    while h < n:
-        a = a.reshape(*lead, n // (2 * h), 2, h)
-        top = a[..., 0, :] + a[..., 1, :]
-        bottom = a[..., 0, :] - a[..., 1, :]
-        a[..., 0, :] = top
-        a[..., 1, :] = bottom
-        h *= 2
-    return a.reshape(v.shape)
+    while 4 * h <= n:
+        m = n // (4 * h)
+        # Slot views of shape (m, h, rows).  Level h pairs (a0, a1) and
+        # (a2, a3), then level 2h pairs (a0, a2) and (a1, a3); level h's a2/a3
+        # results go to the freed a0/a1 slots.  NumPy's default order loops
+        # innermost over runs of h values; for h < m, order "F" loops over m.
+        a0, a1, a2, a3 = a.reshape(-1, m, 4, h).transpose(2, 1, 3, 0)
+        order = "F" if h < m else "K"
+        s, d = np.add(a0, a1, order=order), np.subtract(a0, a1, order=order)
+        np.add(a2, a3, out=a0, order=order)
+        np.subtract(a2, a3, out=a1, order=order)
+        np.subtract(s, a0, out=a2, order=order)
+        np.add(s, a0, out=a0, order=order)
+        np.subtract(d, a1, out=a3, order=order)
+        np.add(d, a1, out=a1, order=order)
+        h *= 4
+    if h < n:
+        a0, a1 = a.reshape(-1, 2, h).transpose(1, 0, 2)
+        s = a0 + a1
+        np.subtract(a0, a1, out=a1)
+        a0[...] = s
+    return a
 
 
 @dataclass
@@ -109,15 +131,23 @@ def sample_block(seed: int, d: int, sigma: float) -> McKernelBlock:
 
 
 def apply_zhat(block: McKernelBlock, x: np.ndarray) -> np.ndarray:
-    """Apply the structured operator to x (zero-padded to length n)."""
-    if x.shape[0] > block.n:
+    """Apply the structured operator along the last axis of x, zero-padded to length n.
+
+    `x` is one input `(d,)` or a `(B, d)` batch.  `block` is one block, or the
+    blocks of a map stacked by `feature_map_apply` into `(blocks, n)` factors,
+    which adds a blocks axis to the output: `(..., blocks, n)`.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim == 0 or x.shape[-1] > block.n:
         raise ShapeError(
-            f"input length {x.shape[0]} exceeds block dimension {block.n}"
+            f"input must have a last axis of length <= {block.n}, got shape {x.shape}"
         )
-    padded = np.zeros(block.n)
-    padded[: x.shape[0]] = x
+    padded = np.zeros(x.shape[:-1] + (block.n,))
+    padded[..., : x.shape[-1]] = x
+    # A stack's factors are (blocks, n): each input row meets every block.
+    padded = padded.reshape(x.shape[:-1] + (1,) * (block.b_signs.ndim - 1) + (block.n,))
     v = fwht(block.b_signs * padded)
-    v = block.g_diag * v[block.perm]
+    v = block.g_diag * np.take_along_axis(v, np.broadcast_to(block.perm, v.shape), axis=-1)
     v = fwht(v)
     return block.c_diag * v / (block.sigma * math.sqrt(block.n))
 
@@ -135,6 +165,8 @@ class FeatureMap:
         n0, sigma0 = self.blocks[0].n, self.blocks[0].sigma
         if any(b.n != n0 or b.sigma != sigma0 for b in self.blocks):
             raise ParameterError("all blocks must share n and sigma")
+        if self.input_dim < 1:
+            raise ParameterError(f"input dimension must be >= 1, got {self.input_dim}")
         if self.input_dim > n0:
             raise ShapeError(
                 f"input dimension {self.input_dim} exceeds block dimension {n0}"
@@ -164,18 +196,25 @@ def sample_feature_map(seed: int, d: int, sigma: float, block_count: int) -> Fea
 
 
 def feature_map_apply(fm: FeatureMap, x: np.ndarray) -> np.ndarray:
-    """Paired cos/sin features, unit self-inner-product by construction."""
-    if x.shape[0] != fm.input_dim:
+    """Paired cos/sin features, unit self-inner-product by construction.
+
+    `x` is one input `(d,)` or a `(B, d)` batch; the output is `(2*n*blocks,)`
+    or `(B, 2*n*blocks)`: per block, the n cosines then the n sines.  All
+    blocks go through one `apply_zhat` call on their stacked factors.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim == 0 or x.shape[-1] != fm.input_dim:
         raise ShapeError(
-            f"feature map input must have length {fm.input_dim}, got {x.shape[0]}"
+            f"feature map input must have last axis {fm.input_dim}, got shape {x.shape}"
         )
+    stack = SimpleNamespace(n=fm.n, sigma=fm.sigma, **{
+        name: np.stack([getattr(b, name) for b in fm.blocks])
+        for name in ("b_signs", "perm", "g_diag", "c_diag")
+    })
+    z = apply_zhat(stack, x)
     scale = 1.0 / math.sqrt(fm.n * len(fm.blocks))
-    parts = []
-    for block in fm.blocks:
-        z = apply_zhat(block, x)
-        parts.append(np.cos(z))
-        parts.append(np.sin(z))
-    return scale * np.concatenate(parts)
+    paired = np.stack([np.cos(z), np.sin(z)], axis=-2)
+    return scale * paired.reshape(*x.shape[:-1], fm.total_features)
 
 
 def kernel_exact(x: np.ndarray, y: np.ndarray, sigma: float) -> float:
@@ -209,5 +248,5 @@ def rbf_expansion_eval(centers, amplitudes, x: np.ndarray, sigma: float,
     if fm is None:
         return float(sum(a * kernel_exact(x, c, sigma) for a, c in zip(amplitudes, centers)))
     phi_x = feature_map_apply(fm, x)
-    return float(sum(a * float(phi_x @ feature_map_apply(fm, c))
-                     for a, c in zip(amplitudes, centers)))
+    phi_centers = feature_map_apply(fm, np.reshape(centers, (len(centers), x.shape[0])))
+    return float(sum(a * float(phi_x @ phi_c) for a, phi_c in zip(amplitudes, phi_centers)))

@@ -18,6 +18,9 @@ Every layer op, `network_forward`, `network_backward` and `loss_eval` take
 one sample as a vector or a `(B, d)` batch with one sample per row; a vector
 is the B=1 case of the same code.  Parameter gradients come back summed over
 the rows, input gradients stay per row, and `loss_eval` is the mean over rows.
+Backprop calls the first layer's ``backward(..., input_grad=False)``, since
+nothing reads that layer's input gradient: it comes back as None, and the
+dense and mixed layers skip computing it.
 """
 
 from __future__ import annotations
@@ -145,7 +148,7 @@ class DenseLayer:
         out = np.maximum(pre, 0.0) if self.spec.activation == "relu" else pre
         return out, (x, pre)
 
-    def backward(self, cache, g_out: np.ndarray):
+    def backward(self, cache, g_out: np.ndarray, input_grad: bool = True):
         x, pre = cache
         if self.spec.activation == "relu":
             g_pre = np.where(pre > 0.0, g_out, 0.0)
@@ -153,7 +156,7 @@ class DenseLayer:
             g_pre = g_out
         rows = g_pre.reshape(-1, self.spec.out_dim)
         grads = {"w": rows.T @ x.reshape(-1, self.spec.in_dim), "b": rows.sum(axis=0)}
-        return grads, g_pre @ self.w
+        return grads, (g_pre @ self.w if input_grad else None)
 
 
 class CrosswiseLayer:
@@ -175,12 +178,12 @@ class CrosswiseLayer:
         out = crosswise_forward(self.weights, x, _inner_activation(self.spec.activation))
         return out, x
 
-    def backward(self, cache, g_out: np.ndarray):
+    def backward(self, cache, g_out: np.ndarray, input_grad: bool = True):
         x = cache
         grad_c, grad_b, grad_x = crosswise_backward(
             self.weights, x, g_out, _inner_activation(self.spec.activation)
         )
-        return {"c": grad_c, "b": grad_b}, grad_x
+        return {"c": grad_c, "b": grad_b}, (grad_x if input_grad else None)
 
 
 class CrosswiseMixedLayer:
@@ -225,11 +228,13 @@ class CrosswiseMixedLayer:
         out = crosswise_forward(self.weights, u, _inner_activation(self.spec.activation))
         return out, u
 
-    def backward(self, cache, g_out: np.ndarray):
+    def backward(self, cache, g_out: np.ndarray, input_grad: bool = True):
         u = cache
         grad_c, grad_b, grad_u = crosswise_backward(
             self.weights, u, g_out, _inner_activation(self.spec.activation)
         )
+        if not input_grad:
+            return {"c": grad_c, "b": grad_b}, None
         # Transpose of the mixing stage: unscale, unpermute, FWHT (symmetric),
         # sign-flip, then drop the padding coordinates.
         g_v = np.zeros(grad_u.shape)
@@ -351,7 +356,7 @@ def _backward_with_loss(net: Network, x, target, loss_kind):
     g = _loss_gradient(loss_kind, prediction, target)
     grads: list = [None] * len(net.layers)
     for i in range(len(net.layers) - 1, -1, -1):
-        grads[i], g = net.layers[i].backward(caches[i], g)
+        grads[i], g = net.layers[i].backward(caches[i], g, input_grad=i > 0)
     return grads, loss
 
 

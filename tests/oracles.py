@@ -71,6 +71,25 @@ def naive_fwht(v):
     return naive_matvec(hadamard_matrix(v.shape[0]), v)
 
 
+def butterfly_fwht(v):
+    """Radix-2 FWHT along the last axis, levels h = 1, 2, 4, ... one at a time.
+
+    The reference for the library's order of butterflies: same pairs, same
+    operand order, so a transform that keeps them matches this bit for bit.
+    """
+    a = np.array(v, dtype=np.float64)
+    lead, n = a.shape[:-1], a.shape[-1]
+    h = 1
+    while h < n:
+        a = a.reshape(*lead, n // (2 * h), 2, h)
+        top = a[..., 0, :] + a[..., 1, :]
+        bottom = a[..., 0, :] - a[..., 1, :]
+        a[..., 0, :] = top
+        a[..., 1, :] = bottom
+        h *= 2
+    return a.reshape(*lead, n)
+
+
 def dense_embedding(c, n, m):
     """M x N stack of diagonal blocks, truncated to M rows: row r holds c[r] at column r mod N."""
     out = np.zeros((m, n))

@@ -1,6 +1,7 @@
 """A `(B, d)` batch gives, row by row, what each row gives alone.
 
-Every layer kind, loss and the FWHT accept a batch with one sample per row.
+Every layer kind, loss, the FWHT and the feature map accept a batch with one
+sample per row.
 These properties pin that batch path to the single-row one (parameter
 gradients summed over rows, input gradients per row) and to the naive
 oracles, across dims that are and are not powers of two, M<N, M=N, M>N
@@ -14,7 +15,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crosswise.features import fwht, next_power_of_two
+from crosswise.features import (
+    apply_zhat,
+    feature_map_apply,
+    fwht,
+    next_power_of_two,
+    sample_feature_map,
+)
 from crosswise.network import (
     LAYER_KINDS,
     LayerSpec,
@@ -27,7 +34,7 @@ from crosswise.network import (
 )
 from crosswise.rng import CounterRng
 
-from oracles import dense_embedding, hadamard_matrix, naive_fwht
+from oracles import butterfly_fwht, dense_embedding, hadamard_matrix, naive_fwht, zhat_dense
 
 DIMS = (1, 2, 3, 4, 5, 8, 13, 16)
 RELATIONS = ("M<N", "M=N", "M>N")
@@ -105,6 +112,57 @@ def test_fwht_batch_equals_rows_and_naive(log_n, batch, seed):
     for i in range(batch):
         np.testing.assert_array_equal(out[i], fwht(x[i]))
         np.testing.assert_allclose(out[i], naive_fwht(x[i]), rtol=0.0, atol=1e-9)
+
+
+@st.composite
+def _fwht_input(draw):
+    """Power-of-two last axis up to 4096, lead shape (), (B,) or (B, k), any layout."""
+    n = 2 ** draw(st.integers(0, 12))
+    lead = draw(st.sampled_from(((), (draw(st.integers(1, 3)),),
+                                 (draw(st.integers(1, 3)), draw(st.integers(1, 3))))))
+    layout = draw(st.sampled_from(("contiguous", "strided", "fortran")))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base = gen.standard_normal(lead + (2 * n,))
+    # Magnitudes from 1e-200 to 1e200: sums round differently in another order.
+    base *= 10.0 ** gen.integers(-200, 201, base.shape)
+    if layout == "strided":
+        return base[..., ::2]
+    base = base[..., :n]
+    return np.asfortranarray(base) if layout == "fortran" else np.ascontiguousarray(base)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_fwht_input())
+def test_fwht_equals_radix2_butterflies_exactly(x):
+    kept = x.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = fwht(x)
+        expected = butterfly_fwht(x)
+    np.testing.assert_array_equal(x, kept)
+    assert out.shape == x.shape
+    np.testing.assert_array_equal(out, expected)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from((1, 2, 3, 5, 8, 13, 16, 33)), st.sampled_from((1, 2, 5)),
+       st.integers(1, 5), st.integers(0, 2**32 - 1))
+def test_feature_map_batch_equals_rows_and_blocks(d, blocks, batch, seed):
+    fm = sample_feature_map(seed, d, 0.5 + seed % 3, blocks)
+    x = _normals(seed, 12, batch, d)
+    phi = feature_map_apply(fm, x)
+    assert phi.shape == (batch, fm.total_features)
+    scale = 1.0 / math.sqrt(fm.n * blocks)
+    for i in range(batch):
+        np.testing.assert_array_equal(phi[i], feature_map_apply(fm, x[i]))
+        zs = [apply_zhat(block, x[i]) for block in fm.blocks]
+        per_block = scale * np.concatenate([f(z) for z in zs for f in (np.cos, np.sin)])
+        np.testing.assert_array_equal(phi[i], per_block)
+        for block, z in zip(fm.blocks, zs):
+            np.testing.assert_array_equal(apply_zhat(block, x)[i], z)
+            if fm.n <= 16:
+                padded = np.zeros(fm.n)
+                padded[:d] = x[i]
+                _close(z, zhat_dense(block) @ padded, rel=1e-10)
 
 
 @pytest.mark.parametrize("relation", RELATIONS)

@@ -176,6 +176,30 @@ def test_kernel_check_report(tmp_path):
         assert abs(float(cells[2]) - float(cells[3])) == pytest.approx(float(cells[4]))
 
 
+def test_kernel_check_approx_matches_row_by_row(tmp_path):
+    # The command maps all points in one call per map; each pair's `approx`
+    # must still be the row-by-row phi(x) @ phi(y), to the last bit.
+    from crosswise.features import feature_map_apply, sample_feature_map
+    from crosswise.rng import CounterRng, derive_seed
+
+    d, pairs, seed = 5, 6, 4
+    out = tmp_path / "kernel.csv"
+    result = run_cli("kernel-check", "--d", str(d), "--sigma", "0.8", "--blocks", "1,3",
+                     "--pairs", str(pairs), "--seed", str(seed), "--out", str(out))
+    assert result.returncode == 0, result.stderr
+    raw = CounterRng(seed, stream=0).normal(2 * pairs * d).reshape(2 * pairs, d)
+    points = raw / np.linalg.norm(raw, axis=1)[:, None]
+    expected = []
+    for blocks in (1, 3):
+        fm = sample_feature_map(derive_seed(seed, blocks), d, 0.8, blocks)
+        for i in range(pairs):
+            phi_x = feature_map_apply(fm, points[2 * i])
+            phi_y = feature_map_apply(fm, points[2 * i + 1])
+            expected.append(repr(float(phi_x @ phi_y)))
+    lines = out.read_text().splitlines()[1:]
+    assert [line.split(",")[3] for line in lines] == expected
+
+
 def test_kernel_check_rejects_zero_pairs(tmp_path):
     result = run_cli("kernel-check", "--pairs", "0", "--out", str(tmp_path / "k.csv"))
     assert result.returncode == 2

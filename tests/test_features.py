@@ -50,6 +50,12 @@ def test_fwht_rejects_non_power_of_two():
             fwht(np.zeros(bad))
 
 
+def test_fwht_rejects_scalar():
+    for scalar in (np.float64(3.0), np.array(3.0)):
+        with pytest.raises(ShapeError):
+            fwht(scalar)
+
+
 def test_fwht_does_not_mutate_input():
     v = np.array([1.0, 2.0, 3.0, 4.0])
     kept = v.copy()
@@ -104,6 +110,13 @@ def test_apply_zhat_rejects_long_input():
         apply_zhat(block, np.zeros(block.n + 1))
 
 
+def test_apply_zhat_shape_error_reports_last_axis():
+    block = sample_block(3, 4, 1.0)
+    # A batch with fewer rows than n but a too-long last axis.
+    with pytest.raises(ShapeError, match=r"got shape \(2, 5\)"):
+        apply_zhat(block, np.zeros((2, block.n + 1)))
+
+
 def test_feature_map_shapes_and_unit_norm():
     fm = sample_feature_map(1, 8, 1.0, 3)
     assert fm.n == 8 and fm.total_features == 48
@@ -147,6 +160,17 @@ def test_feature_map_validation():
     mixed = (sample_block(0, 8, 1.0), sample_block(1, 8, 2.0))
     with pytest.raises(ParameterError):
         FeatureMap(blocks=mixed, input_dim=8)
+
+
+def test_feature_map_shape_error_reports_last_axis():
+    fm = sample_feature_map(0, 8, 1.0, 2)
+    with pytest.raises(ShapeError, match=r"got shape \(3, 7\)"):
+        feature_map_apply(fm, np.zeros((3, 7)))
+
+
+def test_feature_map_rejects_empty_input_dim():
+    with pytest.raises(ParameterError):
+        FeatureMap(blocks=(sample_block(0, 4, 1.0),), input_dim=0)
 
 
 def test_kernel_exact():

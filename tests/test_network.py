@@ -6,9 +6,11 @@ import math
 import numpy as np
 import pytest
 
+from crosswise import network
 from crosswise.datasets import Dataset, gen_blobs
 from crosswise.diagonal import expand_to_dense
 from crosswise.errors import DivergenceError, ParameterError, ShapeError
+from crosswise.features import fwht
 from crosswise.network import (
     DenseLayer,
     LayerSpec,
@@ -204,6 +206,42 @@ def _near_kink(net, x, margin=1e-4):
                 return True
         h = out
     return False
+
+
+@pytest.mark.parametrize("kind", ("dense", "crosswise", "crosswise_mixed"))
+def test_backward_skips_first_layer_input_gradient(kind, monkeypatch):
+    spec = NetworkSpec(layers=(
+        LayerSpec(kind=kind, in_dim=6, out_dim=8, activation="relu"),
+        LayerSpec(kind="crosswise_mixed", in_dim=8, out_dim=3, activation="softmax_output"),
+    ), seed=31)
+    net = build_network(spec)
+    x = CounterRng(31, stream=1).normal(4 * 6).reshape(4, 6)
+    target = np.eye(3)[[0, 2, 1, 2]]
+
+    # Reference: the plain chain rule, every layer's input gradient computed.
+    prediction = x
+    caches = []
+    for layer in net.layers:
+        prediction, cache = layer.forward(prediction)
+        caches.append(cache)
+    g = network.softmax(prediction) - target
+    expected = [None, None]
+    for i in (1, 0):
+        expected[i], g = net.layers[i].backward(caches[i], g)
+    assert g.shape == x.shape
+
+    calls = []
+    monkeypatch.setattr(network, "fwht", lambda v: calls.append(v.shape) or fwht(v))
+    grads = network_backward(net, x, target, "cross_entropy")
+    # One FWHT per mixed layer forward, and one for the second layer's input
+    # gradient; none for the first layer's, which nothing reads.
+    assert len(calls) == (3 if kind == "crosswise_mixed" else 2)
+    for layer_grads, layer_expected in zip(grads, expected):
+        assert layer_grads.keys() == layer_expected.keys()
+        for name in layer_grads:
+            np.testing.assert_array_equal(layer_grads[name], layer_expected[name])
+    _, g_x = net.layers[0].backward(caches[0], np.ones((4, 8)), input_grad=False)
+    assert g_x is None
 
 
 def test_crosswise_grad_equals_dense_twin_diagonal():
