@@ -22,6 +22,7 @@ from .errors import (
     ParameterError,
     SamplingError,
     ShapeError,
+    expect_keys as _expect_keys,
 )
 from .features import kernel_exact, feature_map_apply, sample_feature_map
 from .network import (
@@ -41,17 +42,6 @@ from .rng import CounterRng, derive_seed
 _BLOB_KEYS = {"kind", "seed", "samples_per_class", "dims", "classes", "spread"}
 _XOR_KEYS = {"kind", "seed", "samples", "noise"}
 _CSV_KEYS = {"kind", "path"}
-
-
-def _expect_keys(obj: dict, required: set, context: str, optional: set = frozenset()):
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{context} must be a JSON object")
-    missing = required - obj.keys()
-    if missing:
-        raise ConfigError(f"{context} missing keys: {sorted(missing)}")
-    unknown = obj.keys() - required - optional
-    if unknown:
-        raise ConfigError(f"{context} has unknown keys: {sorted(unknown)}")
 
 
 def _as_int(value, context: str) -> int:

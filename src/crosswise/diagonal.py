@@ -107,12 +107,14 @@ def expand_to_dense(w: CrosswiseWeights) -> np.ndarray:
 
 
 def crosswise_backward(
-    w: CrosswiseWeights, x: np.ndarray, upstream: np.ndarray, activation: str = "relu"
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    w: CrosswiseWeights, x: np.ndarray, upstream: np.ndarray, activation: str = "relu",
+    input_grad: bool = True,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Gradients (grad_c, grad_b, grad_x) of the forward map.
 
     For a `(B, N)` batch `x` with `(B, M)` upstream gradients, grad_c and
-    grad_b are summed over the rows and grad_x has one row per input row.
+    grad_b are summed over the rows and grad_x has one row per input row;
+    with input_grad=False, grad_x is not computed and comes back as None.
     The ReLU derivative at a pre-activation of exactly 0 is taken as 0.
     """
     _check_activation(activation)
@@ -128,6 +130,8 @@ def crosswise_backward(
     g_blocks = g_ext.reshape(*g.shape[:-1], w.k, w.in_dim)
     grad_c = (g_blocks * x[..., None, :]).reshape(-1, w.k * w.in_dim).sum(axis=0)
     grad_b = g.reshape(-1, w.out_dim).sum(axis=0)
+    if not input_grad:
+        return grad_c, grad_b, None
     grad_x = (w.c.reshape(w.k, w.in_dim) * g_blocks).sum(axis=-2)
     return grad_c, grad_b, grad_x
 

@@ -1,4 +1,4 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the strict key check that raises them."""
 
 
 class ShapeError(ValueError):
@@ -23,3 +23,16 @@ class DivergenceError(RuntimeError):
 
 class ConfigError(ValueError):
     """Run configuration is missing, malformed, or contains unknown keys."""
+
+
+def expect_keys(obj, required: set, context: str, optional: set = frozenset(),
+                error: type = ConfigError):
+    """Refuse a non-dict, a missing required key or an unknown key with `error`."""
+    if not isinstance(obj, dict):
+        raise error(f"{context} must be a JSON object")
+    missing = required - obj.keys()
+    if missing:
+        raise error(f"{context} missing keys: {sorted(missing)}")
+    unknown = obj.keys() - required - optional
+    if unknown:
+        raise error(f"{context} has unknown keys: {sorted(unknown)}")

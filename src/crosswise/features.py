@@ -107,13 +107,18 @@ class McKernelBlock:
             raise ParameterError("perm must be a permutation of 0..n-1")
 
 
+# Box-Muller pairs per chunk of the streamed chi(n) draw (rounded to whole rows).
+_CHI_CHUNK_PAIRS = 2 ** 15
+
+
 def sample_block(seed: int, d: int, sigma: float) -> McKernelBlock:
     """Draw one block for input dimension d (padded to the next power of two).
 
     Draw order on (seed, stream 0): n sign flips, the permutation, n Gaussian
-    scalings, then n*n normals whose row norms give the chi(n)-distributed
-    scale factors; the scale factors are divided by the norm of the Gaussian
-    scaling vector.
+    scalings, then n*n normals whose row norms, as an n x n matrix, give the
+    chi(n)-distributed scale factors; the scale factors are divided by the
+    norm of the Gaussian scaling vector.  The n*n normals are streamed in
+    chunks of whole rows, so memory stays O(n + chunk), not O(n^2).
     """
     if d < 1:
         raise ParameterError(f"input dimension must be >= 1, got {d}")
@@ -124,8 +129,17 @@ def sample_block(seed: int, d: int, sigma: float) -> McKernelBlock:
     b_signs = rng.rademacher(n)
     perm = rng.permutation(n)
     g_diag = rng.normal(n)
-    s = np.linalg.norm(rng.normal(n * n).reshape(n, n), axis=1)
-    c_diag = s / np.linalg.norm(g_diag)
+    # Row i < n/2 of the matrix is the cos branch of pairs [i*n, (i+1)*n) and
+    # row n/2 + i the sin branch of the same pairs.  At n = 1 the one row is
+    # the cos branch of the one pair; its sin branch lands in norms[1], unused.
+    pairs = (n * n + 1) // 2
+    norms = np.empty(2 * pairs // n)
+    for start, cos_part, sin_part in rng.normal_pairs(n * n, max(n, _CHI_CHUNK_PAIRS // n * n)):
+        for offset, part in ((start, cos_part), (pairs + start, sin_part)):
+            norms[offset // n : (offset + part.size) // n] = np.linalg.norm(
+                part.reshape(-1, n), axis=1
+            )
+    c_diag = norms[:n] / np.linalg.norm(g_diag)
     return McKernelBlock(n=n, sigma=sigma, b_signs=b_signs, perm=perm,
                          g_diag=g_diag, c_diag=c_diag, seed=seed)
 
@@ -135,7 +149,8 @@ def apply_zhat(block: McKernelBlock, x: np.ndarray) -> np.ndarray:
 
     `x` is one input `(d,)` or a `(B, d)` batch.  `block` is one block, or the
     blocks of a map stacked by `feature_map_apply` into `(blocks, n)` factors,
-    which adds a blocks axis to the output: `(..., blocks, n)`.
+    which adds a blocks axis to the output: `(..., blocks, n)`.  A stack's
+    `perm` indexes the flattened `blocks*n` axis: block i's row is offset by i*n.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 0 or x.shape[-1] > block.n:
@@ -147,9 +162,15 @@ def apply_zhat(block: McKernelBlock, x: np.ndarray) -> np.ndarray:
     # A stack's factors are (blocks, n): each input row meets every block.
     padded = padded.reshape(x.shape[:-1] + (1,) * (block.b_signs.ndim - 1) + (block.n,))
     v = fwht(block.b_signs * padded)
-    v = block.g_diag * np.take_along_axis(v, np.broadcast_to(block.perm, v.shape), axis=-1)
+    flat = v.reshape(v.shape[: v.ndim - block.perm.ndim] + (block.perm.size,))
+    # In place on fresh arrays: each (B, blocks, n) temporary saved is a large
+    # allocation saved.
+    v = flat[..., block.perm.reshape(-1)].reshape(v.shape)
+    v *= block.g_diag
     v = fwht(v)
-    return block.c_diag * v / (block.sigma * math.sqrt(block.n))
+    v *= block.c_diag
+    v /= block.sigma * math.sqrt(block.n)
+    return v
 
 
 @dataclass
@@ -207,14 +228,19 @@ def feature_map_apply(fm: FeatureMap, x: np.ndarray) -> np.ndarray:
         raise ShapeError(
             f"feature map input must have last axis {fm.input_dim}, got shape {x.shape}"
         )
-    stack = SimpleNamespace(n=fm.n, sigma=fm.sigma, **{
-        name: np.stack([getattr(b, name) for b in fm.blocks])
-        for name in ("b_signs", "perm", "g_diag", "c_diag")
-    })
+    b_signs, g_diag, c_diag = np.array(
+        [[getattr(b, name) for b in fm.blocks] for name in ("b_signs", "g_diag", "c_diag")]
+    )
+    perm = np.array([b.perm for b in fm.blocks])
+    perm += fm.n * np.arange(len(fm.blocks))[:, None]
+    stack = SimpleNamespace(n=fm.n, sigma=fm.sigma, b_signs=b_signs, perm=perm,
+                            g_diag=g_diag, c_diag=c_diag)
     z = apply_zhat(stack, x)
-    scale = 1.0 / math.sqrt(fm.n * len(fm.blocks))
-    paired = np.stack([np.cos(z), np.sin(z)], axis=-2)
-    return scale * paired.reshape(*x.shape[:-1], fm.total_features)
+    paired = np.empty(z.shape[:-1] + (2, fm.n))
+    np.cos(z, out=paired[..., 0, :])
+    np.sin(z, out=paired[..., 1, :])
+    paired *= 1.0 / math.sqrt(fm.n * len(fm.blocks))
+    return paired.reshape(*x.shape[:-1], fm.total_features)
 
 
 def kernel_exact(x: np.ndarray, y: np.ndarray, sigma: float) -> float:

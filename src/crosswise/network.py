@@ -19,8 +19,8 @@ one sample as a vector or a `(B, d)` batch with one sample per row; a vector
 is the B=1 case of the same code.  Parameter gradients come back summed over
 the rows, input gradients stay per row, and `loss_eval` is the mean over rows.
 Backprop calls the first layer's ``backward(..., input_grad=False)``, since
-nothing reads that layer's input gradient: it comes back as None, and the
-dense and mixed layers skip computing it.
+nothing reads that layer's input gradient: it comes back as None, and no
+layer computes it.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .diagonal import (
     crosswise_forward,
     init_crosswise,
 )
-from .errors import DivergenceError, ParameterError, ShapeError
+from .errors import DivergenceError, ParameterError, ShapeError, expect_keys
 from .features import fwht, next_power_of_two
 from .rng import CounterRng, derive_seed
 
@@ -181,9 +181,9 @@ class CrosswiseLayer:
     def backward(self, cache, g_out: np.ndarray, input_grad: bool = True):
         x = cache
         grad_c, grad_b, grad_x = crosswise_backward(
-            self.weights, x, g_out, _inner_activation(self.spec.activation)
+            self.weights, x, g_out, _inner_activation(self.spec.activation), input_grad
         )
-        return {"c": grad_c, "b": grad_b}, (grad_x if input_grad else None)
+        return {"c": grad_c, "b": grad_b}, grad_x
 
 
 class CrosswiseMixedLayer:
@@ -231,7 +231,7 @@ class CrosswiseMixedLayer:
     def backward(self, cache, g_out: np.ndarray, input_grad: bool = True):
         u = cache
         grad_c, grad_b, grad_u = crosswise_backward(
-            self.weights, u, g_out, _inner_activation(self.spec.activation)
+            self.weights, u, g_out, _inner_activation(self.spec.activation), input_grad
         )
         if not input_grad:
             return {"c": grad_c, "b": grad_b}, None
@@ -545,38 +545,69 @@ def model_to_json(net: Network) -> dict:
     return {"version": 1, "layers": layers}
 
 
+_MODEL_LAYER_KEYS = {
+    "dense": {"type", "n", "m", "w", "b"},
+    "crosswise": {"type", "n", "m", "k", "c", "b"},
+    "crosswise_mixed": {"type", "n", "m", "pad", "k", "c", "b", "signs", "perm"},
+}
+
+
+def _model_int(entry: dict, key: str, context: str) -> int:
+    value = entry[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParameterError(f"{context}.{key} must be an integer, got {value!r}")
+    return value
+
+
+def _model_array(entry: dict, key: str, context: str, kinds: str = "if") -> np.ndarray:
+    """A flat list of finite numbers (of integers for kinds "i") as an array."""
+    try:
+        arr = np.array(entry[key]) if isinstance(entry[key], list) else None
+    except ValueError:  # ragged nesting
+        arr = None
+    if arr is None or arr.ndim != 1 or (arr.size and arr.dtype.kind not in kinds):
+        what = "integers" if kinds == "i" else "numbers"
+        raise ParameterError(f"{context}.{key} must be a flat list of {what}")
+    if not np.all(np.isfinite(arr)):
+        raise ParameterError(f"{context}.{key} holds non-finite values")
+    return arr
+
+
 def model_from_json(doc: dict, seed: int = 0) -> Network:
-    if doc.get("version") != 1:
-        raise ParameterError(f"unsupported model version {doc.get('version')!r}")
+    """Rebuild a network from `model_to_json` output; malformed models raise ParameterError."""
+    expect_keys(doc, {"version", "layers"}, "model", error=ParameterError)
+    if doc["version"] != 1:
+        raise ParameterError(f"unsupported model version {doc['version']!r}")
+    if not isinstance(doc["layers"], list):
+        raise ParameterError("model.layers must be a list")
     specs = []
     layers = []
-    for entry in doc["layers"]:
-        kind = entry["type"]
-        lspec = LayerSpec(kind=kind, in_dim=int(entry["n"]), out_dim=int(entry["m"]),
+    for i, entry in enumerate(doc["layers"]):
+        context = f"model.layers[{i}]"
+        kind = entry.get("type") if isinstance(entry, dict) else None
+        if kind not in _MODEL_LAYER_KEYS:
+            raise ParameterError(f"{context}: unknown layer type {kind!r}")
+        expect_keys(entry, _MODEL_LAYER_KEYS[kind], context, {"activation"}, ParameterError)
+        lspec = LayerSpec(kind=kind, in_dim=_model_int(entry, "n", context),
+                          out_dim=_model_int(entry, "m", context),
                           activation=entry.get("activation", "relu"))
+        b = _model_array(entry, "b", context)
         if kind == "dense":
-            w = np.array(entry["w"], dtype=np.float64).reshape(lspec.out_dim, lspec.in_dim)
-            layers.append(DenseLayer(lspec, w, np.array(entry["b"], dtype=np.float64)))
-        elif kind == "crosswise":
-            weights = CrosswiseWeights(
-                in_dim=lspec.in_dim, out_dim=lspec.out_dim, k=int(entry["k"]),
-                c=np.array(entry["c"], dtype=np.float64),
-                b=np.array(entry["b"], dtype=np.float64),
-            )
-            layers.append(CrosswiseLayer(lspec, weights))
-        elif kind == "crosswise_mixed":
-            pad = int(entry["pad"])
-            weights = CrosswiseWeights(
-                in_dim=pad, out_dim=lspec.out_dim, k=int(entry["k"]),
-                c=np.array(entry["c"], dtype=np.float64),
-                b=np.array(entry["b"], dtype=np.float64),
-            )
-            layers.append(CrosswiseMixedLayer(
-                lspec, weights,
-                np.array(entry["signs"], dtype=np.float64),
-                np.array(entry["perm"], dtype=np.int64),
-            ))
+            w = _model_array(entry, "w", context)
+            if w.size != lspec.out_dim * lspec.in_dim:
+                raise ShapeError(f"{context}.w must hold m*n = "
+                                 f"{lspec.out_dim * lspec.in_dim} values, got {w.size}")
+            layer = DenseLayer(lspec, w.reshape(lspec.out_dim, lspec.in_dim), b)
         else:
-            raise ParameterError(f"unknown layer type {kind!r}")
+            weights = CrosswiseWeights(
+                in_dim=(_model_int(entry, "pad", context) if kind == "crosswise_mixed"
+                        else lspec.in_dim),
+                out_dim=lspec.out_dim, k=_model_int(entry, "k", context),
+                c=_model_array(entry, "c", context), b=b,
+            )
+            layer = (CrosswiseLayer(lspec, weights) if kind == "crosswise" else
+                     CrosswiseMixedLayer(lspec, weights, _model_array(entry, "signs", context),
+                                         _model_array(entry, "perm", context, kinds="i")))
         specs.append(lspec)
+        layers.append(layer)
     return Network(NetworkSpec(layers=tuple(specs), seed=seed), layers)

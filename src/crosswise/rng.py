@@ -36,6 +36,7 @@ words()/uniform()/normal() calls of the same sizes.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -70,12 +71,24 @@ def derive_seed(seed: int, label: int) -> int:
     return mix64(mix64(seed & _MASK64) ^ ((label * _DERIVE_SALT) & _MASK64) ^ _GOLDEN)
 
 
-def _mix64_array(z: np.ndarray) -> np.ndarray:
-    z = z ^ (z >> np.uint64(30))
-    z = z * np.uint64(0xBF58476D1CE4E5B9)
-    z = z ^ (z >> np.uint64(27))
-    z = z * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+def _mix64_inplace(z: np.ndarray) -> np.ndarray:
+    """mix64 of every element of the uint64 array z, overwriting z."""
+    shifted = np.empty_like(z)
+    z ^= np.right_shift(z, np.uint64(30), out=shifted)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= np.right_shift(z, np.uint64(27), out=shifted)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= np.right_shift(z, np.uint64(31), out=shifted)
+    return z
+
+
+def _box_muller(w1: np.ndarray, w2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(r*cos(theta), r*sin(theta)) of the pairs (w1[j], w2[j]); see the module docstring."""
+    u1 = ((w1 >> np.uint64(11)).astype(np.float64) + 1.0) * _INV_2_53
+    u2 = (w2 >> np.uint64(11)).astype(np.float64) * _INV_2_53
+    r = np.sqrt(-2.0 * np.log(u1))
+    theta = (2.0 * math.pi) * u2
+    return r * np.cos(theta), r * np.sin(theta)
 
 
 class CounterRng:
@@ -91,9 +104,11 @@ class CounterRng:
         """Next `count` 64-bit words as a uint64 array."""
         if count < 0:
             raise ValueError(f"word count must be >= 0, got {count}")
-        counters = np.arange(self._counter, self._counter + count, dtype=np.uint64)
+        z = np.arange(self._counter, self._counter + count, dtype=np.uint64)
         self._counter += count
-        return _mix64_array(self._key + counters * _U64_GOLDEN)
+        z *= _U64_GOLDEN
+        z += self._key
+        return _mix64_inplace(z)
 
     def uniform(self, count: int, low: float = 0.0, high: float = 1.0) -> np.ndarray:
         u = (self.words(count) >> np.uint64(11)).astype(np.float64) * _INV_2_53
@@ -102,11 +117,32 @@ class CounterRng:
     def normal(self, count: int) -> np.ndarray:
         half = (count + 1) // 2
         w = self.words(2 * half)
-        u1 = ((w[:half] >> np.uint64(11)).astype(np.float64) + 1.0) * _INV_2_53
-        u2 = (w[half:] >> np.uint64(11)).astype(np.float64) * _INV_2_53
-        r = np.sqrt(-2.0 * np.log(u1))
-        theta = (2.0 * math.pi) * u2
-        return np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:count]
+        return np.concatenate(_box_muller(w[:half], w[half:]))[:count]
+
+    def normal_pairs(self, count: int, chunk: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+        """The Box-Muller pairs of normal(count), `chunk` pairs at a time.
+
+        Yields (first pair index, cos part, sin part) for consecutive pair ranges;
+        normal(count) is all cos parts, then all sin parts, truncated to count.
+        The cursor moves at once past the same 2*ceil(count/2) words as
+        normal(count); the pairs are drawn, as they are yielded, from two cursors
+        on this stream at the u1 and the u2 offsets, so only one chunk of words
+        and normals is held at a time.
+        """
+        if chunk < 1:
+            raise ValueError(f"chunk must be >= 1, got {chunk}")
+        half = (count + 1) // 2
+        first = CounterRng(self.seed, self.stream)
+        second = CounterRng(self.seed, self.stream)
+        first._counter, second._counter = self._counter, self._counter + half
+        self._counter += 2 * half
+
+        def pairs():
+            for start in range(0, half, chunk):
+                size = min(chunk, half - start)
+                yield (start, *_box_muller(first.words(size), second.words(size)))
+
+        return pairs()
 
     def rademacher(self, count: int) -> np.ndarray:
         return np.where(self.words(count) & np.uint64(1), 1.0, -1.0)
@@ -119,10 +155,10 @@ class CounterRng:
         return (self.words(count) % span).astype(np.int64) + low
 
     def permutation(self, n: int) -> np.ndarray:
-        perm = np.arange(n, dtype=np.int64)
+        perm = list(range(n))
         if n > 1:
-            w = self.words(n - 1)
-            for idx, i in enumerate(range(n - 1, 0, -1)):
-                j = int(w[idx]) % (i + 1)
+            # Python ints: a swap in a list is far cheaper than in a NumPy array.
+            for i, w in zip(range(n - 1, 0, -1), self.words(n - 1).tolist()):
+                j = w % (i + 1)
                 perm[i], perm[j] = perm[j], perm[i]
-        return perm
+        return np.array(perm, dtype=np.int64)

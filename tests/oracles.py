@@ -155,3 +155,33 @@ def dense_gaussian_features(seed, rows, dim, sigma):
         return np.concatenate([np.cos(z), np.sin(z)]) / np.sqrt(rows)
 
     return phi
+
+
+def dense_sample_block(seed, d):
+    """The factors (b_signs, perm, g_diag, c_diag) of a block, drawn the direct way.
+
+    Materializes all n*n normals of the chi(n) draw as one n x n matrix and
+    takes its row norms: O(n^2) memory, the reference for the streamed draw.
+    """
+    from crosswise.rng import CounterRng
+
+    n = 1
+    while n < d:
+        n *= 2
+    rng = CounterRng(seed, stream=0)
+    b_signs = rng.rademacher(n)
+    perm = rng.permutation(n)
+    g_diag = rng.normal(n)
+    s = np.linalg.norm(rng.normal(n * n).reshape(n, n), axis=1)
+    return b_signs, perm, g_diag, s / np.linalg.norm(g_diag)
+
+
+def fisher_yates(seed, stream, n):
+    """Permutation of n from the scalar word reference: Fisher-Yates from the top."""
+    from crosswise.rng import word_at
+
+    perm = list(range(n))
+    for counter, i in enumerate(range(n - 1, 0, -1)):
+        j = word_at(seed, stream, counter) % (i + 1)
+        perm[i], perm[j] = perm[j], perm[i]
+    return perm

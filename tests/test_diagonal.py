@@ -149,6 +149,19 @@ def test_backward_relu_dead_at_exact_zero():
     assert np.all(grad_c == 0.0) and np.all(grad_b == 0.0) and np.all(grad_x == 0.0)
 
 
+@pytest.mark.parametrize("activation", ("relu", "identity"))
+def test_backward_without_input_grad(activation):
+    w = init_crosswise(6, 4, 10)
+    rng = CounterRng(6, stream=1)
+    x = rng.uniform(3 * 4, -1, 1).reshape(3, 4)
+    upstream = rng.uniform(3 * 10, -1, 1).reshape(3, 10)
+    full = crosswise_backward(w, x, upstream, activation)
+    grad_c, grad_b, grad_x = crosswise_backward(w, x, upstream, activation, input_grad=False)
+    assert grad_x is None
+    np.testing.assert_array_equal(grad_c, full[0])
+    np.testing.assert_array_equal(grad_b, full[1])
+
+
 def test_backward_against_finite_differences():
     checked = 0
     seed = 0

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from crosswise.features import (
 )
 from crosswise.rng import CounterRng
 
-from oracles import dense_gaussian_features, naive_fwht, zhat_dense
+from oracles import dense_gaussian_features, dense_sample_block, naive_fwht, zhat_dense
 
 
 def test_next_power_of_two():
@@ -72,6 +74,48 @@ def test_sample_block_basics():
     twin = sample_block(0, 5, 1.0)
     np.testing.assert_array_equal(block.g_diag, twin.g_diag)
     np.testing.assert_array_equal(block.perm, twin.perm)
+
+
+@pytest.mark.parametrize("n", [2 ** e for e in range(12)])
+def test_sample_block_matches_dense_oracle(n):
+    """The streamed chi(n) draw gives the n x n matrix's factors bit for bit."""
+    for seed in (0, 1, 12345, 2 ** 64 - 1):
+        for d in sorted({n, max(n - 1, 1)}):
+            block = sample_block(seed, d, 1.5)
+            expected = dense_sample_block(seed, d)
+            assert block.n == expected[1].shape[0]
+            for got, want in zip((block.b_signs, block.perm, block.g_diag, block.c_diag),
+                                 expected):
+                assert got.dtype == want.dtype
+                np.testing.assert_array_equal(got, want)
+
+
+# Frozen c_diag entries [0, 1, n/2, n-1].  The tolerance only absorbs the last
+# bits of the platform's cos/sin/log; any change to which words feed which
+# normals moves them by far more.
+FROZEN_C_DIAG = [
+    (0, 8, [1.0004782650598836, 1.3156316520957345, 1.1607324796582712, 1.607674045368207]),
+    (2 ** 64 - 1, 8,
+     [0.37277996551589276, 0.9424276180950876, 0.7502560169411281, 1.3827664052414894]),
+    (7, 1024, [0.9862345555082895, 0.9564780260458292, 0.9545611603537931, 0.9772804917832358]),
+]
+
+
+@pytest.mark.parametrize("seed, n, expected", FROZEN_C_DIAG)
+def test_sample_block_frozen_c_diag(seed, n, expected):
+    c_diag = sample_block(seed, n, 1.0).c_diag
+    np.testing.assert_allclose(c_diag[[0, 1, n // 2, n - 1]], expected, rtol=1e-13, atol=0)
+
+
+def test_sample_block_memory_is_bounded():
+    """The n*n normals of an n=4096 block (128 MB as one matrix) are streamed."""
+    tracemalloc.start()
+    try:
+        sample_block(0, 4096, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
 
 
 def test_sample_block_validation():

@@ -244,6 +244,30 @@ def test_backward_skips_first_layer_input_gradient(kind, monkeypatch):
     assert g_x is None
 
 
+def test_first_crosswise_layer_skips_input_gradient_product(monkeypatch):
+    """The first layer's grad_x is never formed, not just dropped.
+
+    test_backward_skips_first_layer_input_gradient checks the gradients.
+    """
+    spec = NetworkSpec(layers=(
+        LayerSpec(kind="crosswise", in_dim=6, out_dim=8, activation="relu"),
+        LayerSpec(kind="crosswise", in_dim=8, out_dim=3, activation="softmax_output"),
+    ), seed=32)
+    net = build_network(spec)
+    x = CounterRng(32, stream=1).normal(4 * 6).reshape(4, 6)
+    original = network.crosswise_backward
+    returned = []
+
+    def recording(*args, **kwargs):
+        returned.append(original(*args, **kwargs))
+        return returned[-1]
+
+    monkeypatch.setattr(network, "crosswise_backward", recording)
+    network_backward(net, x, np.eye(3)[[0, 2, 1, 2]], "cross_entropy")
+    # Backprop runs from the last layer: the second call is the first layer's.
+    assert returned[0][2] is not None and returned[1][2] is None
+
+
 def test_crosswise_grad_equals_dense_twin_diagonal():
     seed = 5
     spec = NetworkSpec(layers=(
@@ -448,3 +472,65 @@ def test_model_json_rejects_unknown():
         model_from_json({"version": 2, "layers": []})
     with pytest.raises(ParameterError):
         model_from_json({"version": 1, "layers": [{"type": "conv", "n": 1, "m": 1}]})
+
+
+def _model_doc():
+    spec = NetworkSpec(layers=(
+        LayerSpec(kind="dense", in_dim=3, out_dim=5, activation="relu"),
+        LayerSpec(kind="crosswise", in_dim=5, out_dim=4, activation="identity"),
+        LayerSpec(kind="crosswise_mixed", in_dim=4, out_dim=2, activation="softmax_output"),
+    ), seed=11)
+    return json.loads(json.dumps(model_to_json(build_network(spec))))
+
+
+def _set(layer, key, value):
+    def fault(doc):
+        doc["layers"][layer][key] = value
+    return fault
+
+
+def _drop(layer, key):
+    def fault(doc):
+        del doc["layers"][layer][key]
+    return fault
+
+
+def _poke(layer, key, value):
+    def fault(doc):
+        doc["layers"][layer][key][1] = value
+    return fault
+
+
+MODEL_FAULTS = {
+    "mixed-without-pad": _drop(2, "pad"),
+    "dense-nan-w": _poke(0, "w", math.nan),
+    "dense-inf-b": _poke(0, "b", -math.inf),
+    "crosswise-nan-c": _poke(1, "c", math.nan),
+    "mixed-nan-signs": _poke(2, "signs", math.nan),
+    "crosswise-without-k": _drop(1, "k"),
+    "dense-without-b": _drop(0, "b"),
+    "unknown-key": _set(1, "scale", 2.0),
+    "n-not-an-integer": _set(0, "n", "3"),
+    "w-not-a-list": _set(0, "w", 1.0),
+    "w-ragged": _set(0, "w", [[1.0], [2.0, 3.0]]),
+    "c-strings": _set(1, "c", ["1"] * 5),
+    "perm-floats": _set(2, "perm", [0.0, 1.0, 2.0, 3.0]),
+    "layer-not-an-object": lambda doc: doc["layers"].__setitem__(0, []),
+    "layers-missing": lambda doc: doc.pop("layers"),
+}
+
+
+@pytest.mark.parametrize("fault", MODEL_FAULTS.values(), ids=MODEL_FAULTS.keys())
+def test_model_json_refuses_malformed_models(fault):
+    doc = _model_doc()
+    model_from_json(doc)
+    fault(doc)
+    with pytest.raises(ParameterError):
+        model_from_json(doc)
+
+
+def test_model_json_refuses_wrong_dense_size():
+    doc = _model_doc()
+    doc["layers"][0]["w"].pop()
+    with pytest.raises(ShapeError):
+        model_from_json(doc)

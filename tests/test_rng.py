@@ -5,6 +5,8 @@ import pytest
 
 from crosswise.rng import CounterRng, derive_seed, mix64, word_at
 
+from oracles import fisher_yates
+
 # Frozen outputs of the documented (seed, stream, counter) -> word mapping.
 # If any of these move, every seeded artifact in the project silently changes.
 FROZEN_WORDS = [
@@ -109,3 +111,41 @@ def test_permutation_deterministic():
     assert not np.array_equal(
         CounterRng(14).permutation(50), CounterRng(15).permutation(50)
     )
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 8, 97, 256, 1024])
+def test_permutation_matches_scalar_fisher_yates(n):
+    for seed, stream in ((13, 0), (2 ** 64 - 1, 4)):
+        assert CounterRng(seed, stream).permutation(n).tolist() == fisher_yates(seed, stream, n)
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 5, 8, 101, 4096])
+@pytest.mark.parametrize("chunk", [1, 3, 64, 1 << 15])
+def test_normal_pairs_stream_normal(count, chunk):
+    """Cos parts then sin parts, truncated, are normal(count), and the cursor
+    continues after the draw exactly where normal(count) leaves it."""
+    streamed = CounterRng(21, stream=3)
+    direct = CounterRng(21, stream=3)
+    streamed.words(7)
+    direct.words(7)
+    starts, cos_parts, sin_parts = [], [], []
+    for start, cos_part, sin_part in streamed.normal_pairs(count, chunk):
+        starts.append(start)
+        cos_parts.append(cos_part)
+        sin_parts.append(sin_part)
+    assert starts == list(range(0, (count + 1) // 2, chunk))
+    got = np.concatenate(cos_parts + sin_parts)[:count] if count else np.empty(0)
+    np.testing.assert_array_equal(got, direct.normal(count))
+    np.testing.assert_array_equal(streamed.words(5), direct.words(5))
+
+
+def test_normal_pairs_moves_cursor_before_iteration():
+    rng = CounterRng(4)
+    pairs = rng.normal_pairs(10, 2)
+    after = rng.words(3)
+    expected = CounterRng(4)
+    expected.normal(10)
+    np.testing.assert_array_equal(after, expected.words(3))
+    assert len(list(pairs)) == 3
+    with pytest.raises(ValueError):
+        rng.normal_pairs(10, 0)
