@@ -22,6 +22,7 @@ from .errors import (
     ParameterError,
     SamplingError,
     ShapeError,
+    expect_int,
     expect_keys as _expect_keys,
 )
 from .features import kernel_exact, feature_map_apply, sample_feature_map
@@ -44,12 +45,6 @@ _XOR_KEYS = {"kind", "seed", "samples", "noise"}
 _CSV_KEYS = {"kind", "path"}
 
 
-def _as_int(value, context: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{context} must be an integer, got {value!r}")
-    return value
-
-
 def _as_real(value, context: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{context} must be a number, got {value!r}")
@@ -63,7 +58,7 @@ def load_config(path):
             doc = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return parse_config(doc)
 
@@ -84,15 +79,15 @@ def parse_config(doc: dict):
         try:
             layer_specs.append(LayerSpec(
                 kind=entry["kind"],
-                in_dim=_as_int(entry["in"], f"{ctx}.in"),
-                out_dim=_as_int(entry["out"], f"{ctx}.out"),
+                in_dim=expect_int(entry["in"], f"{ctx}.in"),
+                out_dim=expect_int(entry["out"], f"{ctx}.out"),
                 activation=entry["activation"],
             ))
         except ParameterError as exc:
             raise ConfigError(f"{ctx}: {exc}") from exc
     try:
         net_spec = NetworkSpec(layers=tuple(layer_specs),
-                               seed=_as_int(net_doc["seed"], "config.network.seed"))
+                               seed=expect_int(net_doc["seed"], "config.network.seed"))
     except (ParameterError, ShapeError) as exc:
         raise ConfigError(f"config.network: {exc}") from exc
 
@@ -101,10 +96,10 @@ def parse_config(doc: dict):
     try:
         train_cfg = TrainConfig(
             learning_rate=_as_real(train_doc["lr"], "config.train.lr"),
-            epochs=_as_int(train_doc["epochs"], "config.train.epochs"),
-            batch_size=_as_int(train_doc["batch"], "config.train.batch"),
+            epochs=expect_int(train_doc["epochs"], "config.train.epochs"),
+            batch_size=expect_int(train_doc["batch"], "config.train.batch"),
             loss=train_doc["loss"],
-            seed=_as_int(train_doc["seed"], "config.train.seed"),
+            seed=expect_int(train_doc["seed"], "config.train.seed"),
         )
     except ParameterError as exc:
         raise ConfigError(f"config.train: {exc}") from exc
@@ -136,17 +131,17 @@ def build_dataset(data_doc: dict) -> Dataset:
     try:
         if kind == "blobs":
             return gen_blobs(
-                seed=_as_int(data_doc["seed"], "config.data.seed"),
-                samples_per_class=_as_int(data_doc["samples_per_class"],
-                                          "config.data.samples_per_class"),
-                dims=_as_int(data_doc["dims"], "config.data.dims"),
-                class_count=_as_int(data_doc["classes"], "config.data.classes"),
+                seed=expect_int(data_doc["seed"], "config.data.seed"),
+                samples_per_class=expect_int(data_doc["samples_per_class"],
+                                             "config.data.samples_per_class"),
+                dims=expect_int(data_doc["dims"], "config.data.dims"),
+                class_count=expect_int(data_doc["classes"], "config.data.classes"),
                 spread=_as_real(data_doc["spread"], "config.data.spread"),
             )
         if kind == "xor":
             return gen_xor(
-                seed=_as_int(data_doc["seed"], "config.data.seed"),
-                samples=_as_int(data_doc["samples"], "config.data.samples"),
+                seed=expect_int(data_doc["seed"], "config.data.seed"),
+                samples=expect_int(data_doc["samples"], "config.data.samples"),
                 noise=_as_real(data_doc["noise"], "config.data.noise"),
             )
         return load_csv(data_doc["path"])

@@ -128,9 +128,16 @@ def save_csv(data: Dataset, path) -> None:
 
 
 def load_csv(path) -> Dataset:
-    """Inverse of save_csv; integral labels mean classification (class_count = max+1)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [line.rstrip("\n") for line in fh if line.strip()]
+    """Inverse of save_csv; integral labels mean classification (class_count = max+1).
+
+    A header-only file or a cell that is not a number raises ParameterError
+    naming ``path:line``; so does a file that is not UTF-8 text, naming ``path``.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [line.rstrip("\n") for line in fh if line.strip()]
+    except UnicodeDecodeError as exc:
+        raise ParameterError(f"{path}: not UTF-8 text ({exc.reason})") from exc
     if not lines:
         raise ParameterError(f"{path}: empty dataset file")
     header = lines[0].split(",")
@@ -143,8 +150,13 @@ def load_csv(path) -> Dataset:
         cells = line.split(",")
         if len(cells) != dim + 1:
             raise ParameterError(f"{path}:{ln}: expected {dim + 1} columns, got {len(cells)}")
-        rows.append([float(c) for c in cells[:-1]])
+        try:
+            rows.append([float(c) for c in cells][:-1])
+        except ValueError as exc:
+            raise ParameterError(f"{path}:{ln}: {exc}") from exc
         raw_labels.append(cells[-1])
+    if not rows:
+        raise ParameterError(f"{path}:1: header but no data rows")
     integral = all(_parses_as_int(s) for s in raw_labels)
     if integral:
         labels = np.array([int(s) for s in raw_labels], dtype=np.int64)

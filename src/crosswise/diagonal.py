@@ -19,7 +19,6 @@ from .errors import ParameterError, ShapeError
 from .rng import CounterRng
 
 ACTIVATIONS = ("relu", "identity")
-INIT_SCHEMES = ("uniform_scaled", "ones")
 
 
 def block_count(in_dim: int, out_dim: int) -> int:
@@ -57,10 +56,6 @@ class CrosswiseWeights:
             raise ShapeError(
                 f"bias must have length M = {self.out_dim}, got {self.b.shape}"
             )
-
-    @property
-    def weight_count(self) -> int:
-        return self.k * self.in_dim
 
 
 def _check_activation(activation: str):
@@ -136,16 +131,10 @@ def crosswise_backward(
     return grad_c, grad_b, grad_x
 
 
-def init_crosswise(seed: int, in_dim: int, out_dim: int, scheme: str = "uniform_scaled") -> CrosswiseWeights:
-    """Seeded weights: uniform [-1, 1]/sqrt(N) coefficients (or all ones), zero bias."""
+def init_crosswise(seed: int, in_dim: int, out_dim: int) -> CrosswiseWeights:
+    """Seeded weights: uniform [-1, 1]/sqrt(N) coefficients, zero bias."""
     if in_dim < 1 or out_dim < 1:
         raise ParameterError(f"dims must be positive, got {in_dim}x{out_dim}")
-    if scheme not in INIT_SCHEMES:
-        raise ParameterError(f"scheme must be one of {INIT_SCHEMES}, got {scheme!r}")
     k = block_count(in_dim, out_dim)
-    if scheme == "ones":
-        c = np.ones(k * in_dim)
-    else:
-        rng = CounterRng(seed, stream=0)
-        c = rng.uniform(k * in_dim, -1.0, 1.0) / math.sqrt(in_dim)
+    c = CounterRng(seed, stream=0).uniform(k * in_dim, -1.0, 1.0) / math.sqrt(in_dim)
     return CrosswiseWeights(in_dim, out_dim, k, c, np.zeros(out_dim))

@@ -1,4 +1,4 @@
-"""Exception types shared across the library, and the strict key check that raises them."""
+"""Exception types shared across the library, and the strict checks that raise them."""
 
 
 class ShapeError(ValueError):
@@ -36,3 +36,10 @@ def expect_keys(obj, required: set, context: str, optional: set = frozenset(),
     unknown = obj.keys() - required - optional
     if unknown:
         raise error(f"{context} has unknown keys: {sorted(unknown)}")
+
+
+def expect_int(value, context: str, error: type = ConfigError) -> int:
+    """Return `value` if it is an int (a bool is not); otherwise refuse it with `error`."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise error(f"{context} must be an integer, got {value!r}")
+    return value

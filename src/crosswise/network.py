@@ -4,11 +4,12 @@ Layer kinds:
 
 * ``dense`` — full weight matrix, ``out = act(W x + b)``.
 * ``crosswise`` — learned diagonal coefficients only (see `diagonal`).
-* ``crosswise_mixed`` — a fixed, non-learned mixing stage (sign-flip diagonal,
-  Walsh-Hadamard transform, seeded permutation, scaled by 1/sqrt(pad) so the
-  stage is an isometry) followed by a learned crosswise map.  Only the
-  diagonal coefficients and biases are learned, so the parameter count matches
-  the plain crosswise layer on the padded dimension.
+* ``crosswise_mixed`` — the crosswise layer behind a fixed, non-learned mixing
+  stage (sign-flip diagonal, Walsh-Hadamard transform, seeded permutation,
+  scaled by 1/sqrt(pad) so the stage is an isometry): `CrosswiseMixedLayer`
+  subclasses `CrosswiseLayer` and adds only that stage.  Only the diagonal
+  coefficients and biases are learned, so the parameter count matches the
+  plain crosswise layer on the padded dimension.
 
 ``softmax_output`` is an identity at forward time: the layer emits logits and
 the cross-entropy loss applies a stabilized softmax internally, which yields
@@ -38,7 +39,7 @@ from .diagonal import (
     crosswise_forward,
     init_crosswise,
 )
-from .errors import DivergenceError, ParameterError, ShapeError, expect_keys
+from .errors import DivergenceError, ParameterError, ShapeError, expect_int, expect_keys
 from .features import fwht, next_power_of_two
 from .rng import CounterRng, derive_seed
 
@@ -115,13 +116,6 @@ class EpochRecord:
     wall_ms: float
 
 
-TrainHistory = list  # of EpochRecord
-
-
-def _inner_activation(activation: str) -> str:
-    return "identity" if activation == "softmax_output" else activation
-
-
 class DenseLayer:
     kind = "dense"
 
@@ -160,63 +154,70 @@ class DenseLayer:
 
 
 class CrosswiseLayer:
+    """Learned diagonal map (see `diagonal`) on inputs of length `pad`.
+
+    Plain crosswise acts on the input as given, so `pad` is `in_dim`.
+    """
+
     kind = "crosswise"
 
+    @staticmethod
+    def padded_width(in_dim: int) -> int:
+        return in_dim
+
     def __init__(self, spec: LayerSpec, weights: CrosswiseWeights):
-        if weights.in_dim != spec.in_dim or weights.out_dim != spec.out_dim:
+        self.pad = self.padded_width(spec.in_dim)
+        if weights.in_dim != self.pad or weights.out_dim != spec.out_dim:
             raise ShapeError(
-                f"crosswise weights are {weights.in_dim}->{weights.out_dim}, "
-                f"spec says {spec.in_dim}->{spec.out_dim}"
+                f"{self.kind} weights are {weights.in_dim}->{weights.out_dim}, "
+                f"expected {self.pad}->{spec.out_dim}"
             )
         self.spec = spec
         self.weights = weights
+        # The softmax of softmax_output is applied inside the loss.
+        self._activation = "identity" if spec.activation == "softmax_output" else spec.activation
 
     def params(self) -> dict:
         return {"c": self.weights.c, "b": self.weights.b}
 
     def forward(self, x: np.ndarray):
-        out = crosswise_forward(self.weights, x, _inner_activation(self.spec.activation))
-        return out, x
+        return crosswise_forward(self.weights, x, self._activation), x
 
     def backward(self, cache, g_out: np.ndarray, input_grad: bool = True):
-        x = cache
         grad_c, grad_b, grad_x = crosswise_backward(
-            self.weights, x, g_out, _inner_activation(self.spec.activation), input_grad
+            self.weights, cache, g_out, self._activation, input_grad
         )
         return {"c": grad_c, "b": grad_b}, grad_x
 
 
-class CrosswiseMixedLayer:
-    """Fixed isometric mixing (signs, FWHT, permutation, 1/sqrt(pad)) then crosswise."""
+class CrosswiseMixedLayer(CrosswiseLayer):
+    """The crosswise layer behind a fixed isometric mixing stage.
+
+    The input is zero-padded to a power of two `pad`, then sign-flipped,
+    Walsh-Hadamard transformed, permuted and scaled by 1/sqrt(pad).
+    """
 
     kind = "crosswise_mixed"
+    padded_width = staticmethod(next_power_of_two)
 
     def __init__(self, spec: LayerSpec, weights: CrosswiseWeights,
                  signs: np.ndarray, perm: np.ndarray):
-        pad = next_power_of_two(spec.in_dim)
-        if weights.in_dim != pad or weights.out_dim != spec.out_dim:
-            raise ShapeError(
-                f"mixed-layer weights are {weights.in_dim}->{weights.out_dim}, "
-                f"expected {pad}->{spec.out_dim}"
-            )
+        super().__init__(spec, weights)
         signs = np.asarray(signs, dtype=np.float64)
         perm = np.asarray(perm, dtype=np.int64)
-        if signs.shape != (pad,):
-            raise ShapeError(f"signs must have length {pad}, got {signs.shape}")
-        if not np.array_equal(np.sort(perm), np.arange(pad)):
+        if signs.shape != (self.pad,):
+            raise ShapeError(f"signs must have length {self.pad}, got {signs.shape}")
+        if not np.array_equal(np.sort(perm), np.arange(self.pad)):
             raise ParameterError("perm must be a permutation of 0..pad-1")
         if not np.all(np.abs(signs) == 1.0):
             raise ParameterError("signs entries must be +1 or -1")
-        self.spec = spec
-        self.pad = pad
-        self.weights = weights
         self.signs = signs
         self.perm = perm
-        self._scale = 1.0 / math.sqrt(pad)
+        self._scale = 1.0 / math.sqrt(self.pad)
 
-    def params(self) -> dict:
-        return {"c": self.weights.c, "b": self.weights.b}
-
+    # forward and backward call crosswise_forward/crosswise_backward themselves,
+    # not CrosswiseLayer's methods: the benchmark tracer wraps each class's own
+    # methods, and a super() call would count one mixed-layer call twice.
     def forward(self, x: np.ndarray):
         if x.shape[-1:] != (self.spec.in_dim,):
             raise ShapeError(
@@ -225,21 +226,19 @@ class CrosswiseMixedLayer:
         padded = np.zeros((*x.shape[:-1], self.pad))
         padded[..., : self.spec.in_dim] = x
         u = fwht(self.signs * padded)[..., self.perm] * self._scale
-        out = crosswise_forward(self.weights, u, _inner_activation(self.spec.activation))
-        return out, u
+        return crosswise_forward(self.weights, u, self._activation), u
 
     def backward(self, cache, g_out: np.ndarray, input_grad: bool = True):
-        u = cache
         grad_c, grad_b, grad_u = crosswise_backward(
-            self.weights, u, g_out, _inner_activation(self.spec.activation), input_grad
+            self.weights, cache, g_out, self._activation, input_grad
         )
-        if not input_grad:
-            return {"c": grad_c, "b": grad_b}, None
-        # Transpose of the mixing stage: unscale, unpermute, FWHT (symmetric),
-        # sign-flip, then drop the padding coordinates.
-        g_v = np.zeros(grad_u.shape)
-        g_v[..., self.perm] = grad_u * self._scale
-        g_x = (self.signs * fwht(g_v))[..., : self.spec.in_dim]
+        g_x = None
+        if input_grad:
+            # Transpose of the mixing stage: unscale, unpermute, FWHT
+            # (symmetric), sign-flip, then drop the padding coordinates.
+            g_v = np.zeros(grad_u.shape)
+            g_v[..., self.perm] = grad_u * self._scale
+            g_x = (self.signs * fwht(g_v))[..., : self.spec.in_dim]
         return {"c": grad_c, "b": grad_b}, g_x
 
 
@@ -333,10 +332,12 @@ def loss_eval(kind: str, prediction: np.ndarray, target: np.ndarray) -> float:
 
 
 def _loss_gradient(kind: str, prediction: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Gradient of each row's own loss with respect to that row's prediction."""
+    """Gradient of each row's own loss with respect to that row's prediction.
+
+    The caller has already checked `target` through `loss_eval`.
+    """
     if kind == "mse":
         return 2.0 * (prediction - target) / prediction.shape[-1]
-    _check_one_hot(target)
     return softmax(prediction) - target
 
 
@@ -510,38 +511,16 @@ def count_mults(spec: NetworkSpec) -> MultCounts:
 def model_to_json(net: Network) -> dict:
     layers = []
     for layer in net.layers:
-        if layer.kind == "dense":
-            layers.append({
-                "type": "dense",
-                "n": layer.spec.in_dim,
-                "m": layer.spec.out_dim,
-                "w": [float(v) for v in layer.w.reshape(-1)],
-                "b": [float(v) for v in layer.b],
-                "activation": layer.spec.activation,
-            })
-        elif layer.kind == "crosswise":
-            layers.append({
-                "type": "crosswise",
-                "n": layer.spec.in_dim,
-                "m": layer.spec.out_dim,
-                "k": layer.weights.k,
-                "c": [float(v) for v in layer.weights.c],
-                "b": [float(v) for v in layer.weights.b],
-                "activation": layer.spec.activation,
-            })
-        else:
-            layers.append({
-                "type": "crosswise_mixed",
-                "n": layer.spec.in_dim,
-                "m": layer.spec.out_dim,
-                "pad": layer.pad,
-                "k": layer.weights.k,
-                "c": [float(v) for v in layer.weights.c],
-                "b": [float(v) for v in layer.weights.b],
-                "signs": [int(v) for v in layer.signs],
-                "perm": [int(v) for v in layer.perm],
-                "activation": layer.spec.activation,
-            })
+        entry = {"type": layer.kind, "n": layer.spec.in_dim, "m": layer.spec.out_dim}
+        if layer.kind == "crosswise_mixed":
+            entry["pad"] = layer.pad
+        if layer.kind != "dense":
+            entry["k"] = layer.weights.k
+        entry.update((name, p.ravel().tolist()) for name, p in layer.params().items())
+        if layer.kind == "crosswise_mixed":
+            entry.update(signs=layer.signs.astype(np.int64).tolist(), perm=layer.perm.tolist())
+        entry["activation"] = layer.spec.activation
+        layers.append(entry)
     return {"version": 1, "layers": layers}
 
 
@@ -550,13 +529,6 @@ _MODEL_LAYER_KEYS = {
     "crosswise": {"type", "n", "m", "k", "c", "b"},
     "crosswise_mixed": {"type", "n", "m", "pad", "k", "c", "b", "signs", "perm"},
 }
-
-
-def _model_int(entry: dict, key: str, context: str) -> int:
-    value = entry[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ParameterError(f"{context}.{key} must be an integer, got {value!r}")
-    return value
 
 
 def _model_array(entry: dict, key: str, context: str, kinds: str = "if") -> np.ndarray:
@@ -588,8 +560,9 @@ def model_from_json(doc: dict, seed: int = 0) -> Network:
         if kind not in _MODEL_LAYER_KEYS:
             raise ParameterError(f"{context}: unknown layer type {kind!r}")
         expect_keys(entry, _MODEL_LAYER_KEYS[kind], context, {"activation"}, ParameterError)
-        lspec = LayerSpec(kind=kind, in_dim=_model_int(entry, "n", context),
-                          out_dim=_model_int(entry, "m", context),
+        ints = {key: expect_int(entry[key], f"{context}.{key}", ParameterError)
+                for key in ("n", "m", "k", "pad") if key in entry}
+        lspec = LayerSpec(kind=kind, in_dim=ints["n"], out_dim=ints["m"],
                           activation=entry.get("activation", "relu"))
         b = _model_array(entry, "b", context)
         if kind == "dense":
@@ -600,9 +573,7 @@ def model_from_json(doc: dict, seed: int = 0) -> Network:
             layer = DenseLayer(lspec, w.reshape(lspec.out_dim, lspec.in_dim), b)
         else:
             weights = CrosswiseWeights(
-                in_dim=(_model_int(entry, "pad", context) if kind == "crosswise_mixed"
-                        else lspec.in_dim),
-                out_dim=lspec.out_dim, k=_model_int(entry, "k", context),
+                in_dim=ints.get("pad", lspec.in_dim), out_dim=lspec.out_dim, k=ints["k"],
                 c=_model_array(entry, "c", context), b=b,
             )
             layer = (CrosswiseLayer(lspec, weights) if kind == "crosswise" else

@@ -66,6 +66,9 @@ def test_train_invalid_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
     assert run_cli("train", "--config", str(path)).returncode == 2
+    path.write_bytes(b'{"version": \xff}')
+    result = run_cli("train", "--config", str(path))
+    assert result.returncode == 2 and "Traceback" not in result.stderr, result.stderr
 
 
 def test_train_rejects_unknown_key(tmp_path):
@@ -133,6 +136,19 @@ def test_train_rejects_non_finite_csv(tmp_path):
         result = run_cli("train", "--config", write_config(tmp_path, cfg))
         assert result.returncode == 2, result.stderr
         assert f"{what} must be finite" in result.stderr
+
+
+def test_train_rejects_malformed_csv(tmp_path):
+    for text, where in ((b"f0,f1,label\n1.0,abc,0\n", ":2: "), (b"f0,f1,label\n", ":1: "),
+                        (b"f0,f1,label\n\xff,0,0\n", ": not UTF-8")):
+        data_path = tmp_path / "data.csv"
+        data_path.write_bytes(text)
+        cfg = base_config(tmp_path)
+        cfg["data"] = {"kind": "csv", "path": str(data_path)}
+        result = run_cli("train", "--config", write_config(tmp_path, cfg))
+        assert result.returncode == 2, result.stderr
+        assert f"data.csv{where}" in result.stderr
+        assert "Traceback" not in result.stderr
 
 
 def test_bench_counts_and_report(tmp_path):

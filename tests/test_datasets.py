@@ -167,3 +167,13 @@ def test_csv_rejects_malformed(tmp_path):
     empty.write_text("")
     with pytest.raises(ParameterError):
         load_csv(empty)
+    for text, where in (("f0,f1,label\n1.0,2.0,0\n1.0,abc,1\n", ":3: "),
+                        ("f0,f1,label\n1.0,2.0,x\n", ":2: "),
+                        ("f0,f1,label\n1.0,,0\n", ":2: "),
+                        ("f0,f1,label\n", ":1: ")):
+        bad.write_text(text)
+        with pytest.raises(ParameterError, match=f"bad.csv{where}"):
+            load_csv(bad)
+    bad.write_bytes(b"f0,label\n\xff,0\n")
+    with pytest.raises(ParameterError, match="not UTF-8"):
+        load_csv(bad)

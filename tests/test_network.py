@@ -8,7 +8,7 @@ import pytest
 
 from crosswise import network
 from crosswise.datasets import Dataset, gen_blobs
-from crosswise.diagonal import expand_to_dense
+from crosswise.diagonal import expand_to_dense, init_crosswise
 from crosswise.errors import DivergenceError, ParameterError, ShapeError
 from crosswise.features import fwht
 from crosswise.network import (
@@ -450,6 +450,19 @@ def test_count_mults_examples():
     assert count_mults(_spec_of("dense", 4, 8)).fwht_ops == [0]
 
 
+def test_mixed_layer_is_the_crosswise_layer_on_the_padded_width():
+    assert issubclass(network.CrosswiseMixedLayer, network.CrosswiseLayer)
+    mixed = LayerSpec(kind="crosswise_mixed", in_dim=5, out_dim=3)
+    signs, perm = np.ones(8), np.arange(8)
+    assert network.CrosswiseMixedLayer(mixed, init_crosswise(0, 8, 3), signs, perm).pad == 8
+    with pytest.raises(ShapeError, match="expected 8->3"):
+        network.CrosswiseMixedLayer(mixed, init_crosswise(0, 5, 3), signs, perm)
+    plain = LayerSpec(kind="crosswise", in_dim=5, out_dim=3)
+    assert network.CrosswiseLayer(plain, init_crosswise(0, 5, 3)).pad == 5
+    with pytest.raises(ShapeError, match="expected 5->3"):
+        network.CrosswiseLayer(plain, init_crosswise(0, 8, 3))
+
+
 def test_model_json_roundtrip():
     spec = NetworkSpec(layers=(
         LayerSpec(kind="dense", in_dim=3, out_dim=5, activation="relu"),
@@ -465,6 +478,119 @@ def test_model_json_roundtrip():
     restored = model_from_json(doc, seed=11)
     x = CounterRng(12).uniform(3, -1, 1)
     np.testing.assert_array_equal(network_forward(net, x), network_forward(restored, x))
+
+
+# json.dumps(model_to_json(net), indent=1) of _tiny_net(), frozen when the
+# version-1 format was pinned: key order, number formatting and layout.
+MODEL_V1_TEXT = """\
+{
+ "version": 1,
+ "layers": [
+  {
+   "type": "dense",
+   "n": 2,
+   "m": 3,
+   "w": [
+    0.6310854139109899,
+    0.4727431936777073,
+    0.7024474056412028,
+    -0.3266423048129344,
+    -0.6587033110574716,
+    0.3297675925517577
+   ],
+   "b": [
+    0.0,
+    0.0,
+    0.0
+   ],
+   "activation": "relu"
+  },
+  {
+   "type": "crosswise",
+   "n": 3,
+   "m": 5,
+   "k": 2,
+   "c": [
+    0.43093265309190154,
+    -0.5214271476751188,
+    0.039886646301751386,
+    -0.4345468855120881,
+    0.13099207308115446,
+    -0.3610788529842941
+   ],
+   "b": [
+    0.0,
+    0.0,
+    0.0,
+    0.0,
+    0.0
+   ],
+   "activation": "relu"
+  },
+  {
+   "type": "crosswise_mixed",
+   "n": 5,
+   "m": 2,
+   "pad": 8,
+   "k": 1,
+   "c": [
+    0.1290760458275977,
+    0.270549136943027,
+    -0.2625814122016806,
+    -0.0791032102851627,
+    -0.3100200464996521,
+    0.3487171170950237,
+    -0.08230764851197173,
+    -0.3453600739791745
+   ],
+   "b": [
+    0.0,
+    0.0
+   ],
+   "signs": [
+    1,
+    1,
+    1,
+    1,
+    -1,
+    -1,
+    1,
+    1
+   ],
+   "perm": [
+    1,
+    2,
+    6,
+    3,
+    5,
+    7,
+    4,
+    0
+   ],
+   "activation": "softmax_output"
+  }
+ ]
+}"""
+
+
+def _tiny_net():
+    return build_network(NetworkSpec(layers=(
+        LayerSpec(kind="dense", in_dim=2, out_dim=3),
+        LayerSpec(kind="crosswise", in_dim=3, out_dim=5),
+        LayerSpec(kind="crosswise_mixed", in_dim=5, out_dim=2, activation="softmax_output"),
+    ), seed=7))
+
+
+def test_model_json_version1_bytes_are_frozen():
+    assert json.dumps(model_to_json(_tiny_net()), indent=1) == MODEL_V1_TEXT
+
+
+def test_model_json_reload_writes_the_same_document():
+    doc = json.loads(MODEL_V1_TEXT)
+    assert [entry["type"] for entry in doc["layers"]] == ["dense", "crosswise", "crosswise_mixed"]
+    again = model_to_json(model_from_json(doc))
+    assert again == doc
+    assert json.dumps(again, indent=1) == MODEL_V1_TEXT
 
 
 def test_model_json_rejects_unknown():
