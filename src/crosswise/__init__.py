@@ -2,13 +2,12 @@
 random features, with deterministic training utilities and a CLI.
 """
 
-from .datasets import Dataset, gen_blobs, gen_xor, load_csv, save_csv, split
+from .datasets import Dataset, gen_blobs, gen_xor, load_csv, save_csv
 from .diagonal import (
     CrosswiseWeights,
     block_count,
     crosswise_backward,
     crosswise_forward,
-    decurto_product,
     expand_to_dense,
     init_crosswise,
 )
@@ -28,11 +27,10 @@ from .features import (
     fwht,
     kernel_exact,
     next_power_of_two,
-    rbf_expansion_eval,
     sample_block,
     sample_feature_map,
 )
-from .linalg import identity, invert, matmul, matvec, matrix, pinv_full_rank, vector
+from .linalg import invert, pinv_full_rank
 from .network import (
     EpochRecord,
     LayerSpec,

@@ -40,6 +40,12 @@ class Dataset:
         if self.class_count < 0:
             raise ParameterError(f"class_count must be >= 0, got {self.class_count}")
         if self.class_count > 0:
+            whole = np.isfinite(self.labels) & (self.labels == np.trunc(self.labels))
+            if not whole.all():
+                row = int(np.argmin(whole))
+                raise ParameterError(
+                    f"class labels must be integers, got {self.labels[row]} at row {row}"
+                )
             labels = self.labels.astype(np.int64)
             if self.labels.shape[0] and (labels.min() < 0 or labels.max() >= self.class_count):
                 raise ParameterError(
@@ -101,22 +107,6 @@ def gen_xor(seed: int, samples: int, noise: float) -> Dataset:
     return Dataset(features=points, labels=labels, class_count=2)
 
 
-def split(data: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
-    """Seeded shuffle, then slice: round(fraction*n) rows train, rest eval."""
-    if not 0.0 < train_fraction < 1.0:
-        raise ParameterError(
-            f"train_fraction must lie strictly between 0 and 1, got {train_fraction}"
-        )
-    n = data.sample_count
-    order = CounterRng(seed, stream=0).permutation(n)
-    n_train = int(train_fraction * n + 0.5)
-    head, tail = order[:n_train], order[n_train:]
-    return (
-        Dataset(data.features[head], data.labels[head], data.class_count),
-        Dataset(data.features[tail], data.labels[tail], data.class_count),
-    )
-
-
 def save_csv(data: Dataset, path) -> None:
     """Header f0..f{d-1},label; floats via repr so files are byte-stable."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -130,8 +120,9 @@ def save_csv(data: Dataset, path) -> None:
 def load_csv(path) -> Dataset:
     """Inverse of save_csv; integral labels mean classification (class_count = max+1).
 
-    A header-only file or a cell that is not a number raises ParameterError
-    naming ``path:line``; so does a file that is not UTF-8 text, naming ``path``.
+    A header-only file, a cell that is not a number or a negative integral
+    label raises ParameterError naming ``path:line``; so does a file that is
+    not UTF-8 text, naming ``path``.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -157,14 +148,15 @@ def load_csv(path) -> Dataset:
         raw_labels.append(cells[-1])
     if not rows:
         raise ParameterError(f"{path}:1: header but no data rows")
-    integral = all(_parses_as_int(s) for s in raw_labels)
-    if integral:
+    if all(_parses_as_int(s) for s in raw_labels):
         labels = np.array([int(s) for s in raw_labels], dtype=np.int64)
-        class_count = int(labels.max()) + 1 if labels.min() >= 0 else 0
+        if labels.min() < 0:
+            row = int(np.argmax(labels < 0))
+            raise ParameterError(f"{path}:{row + 2}: negative class label {labels[row]}")
+        class_count = int(labels.max()) + 1
     else:
-        class_count = 0
-    if class_count == 0:
         labels = np.array([float(s) for s in raw_labels])
+        class_count = 0
     return Dataset(features=np.array(rows), labels=labels, class_count=class_count)
 
 

@@ -3,9 +3,9 @@
 A crosswise map sends an input of length N to M outputs using only k*N
 learned coefficients, k = ceil(M/N): the coefficients are the stacked
 diagonals of k diagonal N x N blocks, and the block stack is truncated to
-exactly M rows.  `decurto_product` is the underlying componentwise operand;
-`expand_to_dense` materializes the equivalent M x N dense matrix so the
-structured path can be checked against an explicit matvec.
+exactly M rows.  The paper's componentwise operand is the `x * c` product in
+`_pre_activation`; `expand_to_dense` materializes the equivalent M x N dense
+matrix so the structured path can be checked against an explicit product.
 """
 
 from __future__ import annotations
@@ -63,15 +63,6 @@ def _check_activation(activation: str):
         raise ParameterError(f"activation must be one of {ACTIVATIONS}, got {activation!r}")
 
 
-def decurto_product(c: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Componentwise vector product; c holds the diagonal of a weight matrix."""
-    if c.shape != x.shape:
-        raise ShapeError(
-            f"decurto_product: lengths differ ({c.shape[0]} vs {x.shape[0]})"
-        )
-    return c * x
-
-
 def _pre_activation(w: CrosswiseWeights, x: np.ndarray) -> np.ndarray:
     if x.shape[-1:] != (w.in_dim,):
         raise ShapeError(
@@ -94,7 +85,7 @@ def crosswise_forward(w: CrosswiseWeights, x: np.ndarray, activation: str = "rel
 
 
 def expand_to_dense(w: CrosswiseWeights) -> np.ndarray:
-    """The M x N dense matrix whose matvec equals the pre-activation map minus bias."""
+    """The M x N dense matrix D with D @ x equal to the pre-activation map minus bias."""
     dense = np.zeros((w.out_dim, w.in_dim))
     rows = np.arange(w.out_dim)
     dense[rows, rows % w.in_dim] = w.c[: w.out_dim]

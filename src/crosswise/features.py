@@ -251,28 +251,3 @@ def kernel_exact(x: np.ndarray, y: np.ndarray, sigma: float) -> float:
         raise ParameterError(f"sigma must be positive, got {sigma}")
     diff = x - y
     return float(np.exp(-np.dot(diff, diff) / (2.0 * sigma * sigma)))
-
-
-def rbf_expansion_eval(centers, amplitudes, x: np.ndarray, sigma: float,
-                       fm: FeatureMap | None = None) -> float:
-    """Weighted sum of kernel evaluations against a set of centers.
-
-    With fm=None the kernel is evaluated exactly; otherwise each term uses the
-    feature-space inner product <phi(x), phi(center)>.
-    """
-    centers = [np.asarray(c, dtype=np.float64) for c in centers]
-    amplitudes = np.asarray(amplitudes, dtype=np.float64)
-    if len(centers) != amplitudes.shape[0]:
-        raise ParameterError(
-            f"{len(centers)} centers but {amplitudes.shape[0]} amplitudes"
-        )
-    for c in centers:
-        if c.shape != x.shape:
-            raise ShapeError(
-                f"center length {c.shape[0]} does not match input length {x.shape[0]}"
-            )
-    if fm is None:
-        return float(sum(a * kernel_exact(x, c, sigma) for a, c in zip(amplitudes, centers)))
-    phi_x = feature_map_apply(fm, x)
-    phi_centers = feature_map_apply(fm, np.reshape(centers, (len(centers), x.shape[0])))
-    return float(sum(a * float(phi_x @ phi_c) for a, phi_c in zip(amplitudes, phi_centers)))

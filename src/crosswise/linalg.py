@@ -1,9 +1,7 @@
-"""Minimal dense double-precision linear algebra.
+"""Dense inverse and full-rank pseudo-inverse for the product-algebra identities.
 
-Vectors are 1-D float64 ndarrays and matrices are 2-D float64 ndarrays; the
-`vector`/`matrix` constructors validate shape and finiteness.  This module is
-deliberately plain: it is the brute-force baseline that every structured
-operator in the library is verified against, so clarity beats speed.
+Gauss-Jordan elimination keeps the singular-pivot contract explicit
+(`SingularMatrixError` below PIVOT_TOLERANCE); clarity beats speed.
 """
 
 from __future__ import annotations
@@ -13,46 +11,6 @@ import numpy as np
 from .errors import ShapeError, SingularMatrixError
 
 PIVOT_TOLERANCE = 1e-12
-
-
-def vector(values) -> np.ndarray:
-    """Validate and return a finite 1-D float64 vector."""
-    v = np.asarray(values, dtype=np.float64)
-    if v.ndim != 1 or v.size == 0:
-        raise ShapeError(f"vector must be 1-D and non-empty, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("vector entries must be finite (no NaN/Inf)")
-    return v
-
-
-def matrix(values) -> np.ndarray:
-    """Validate and return a finite 2-D float64 matrix."""
-    m = np.asarray(values, dtype=np.float64)
-    if m.ndim != 2 or m.size == 0:
-        raise ShapeError(f"matrix must be 2-D and non-empty, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix entries must be finite (no NaN/Inf)")
-    return m
-
-
-def identity(n: int) -> np.ndarray:
-    return np.eye(n, dtype=np.float64)
-
-
-def matvec(m: np.ndarray, x: np.ndarray) -> np.ndarray:
-    if m.shape[1] != x.shape[0]:
-        raise ShapeError(
-            f"matvec: matrix is {m.shape[0]}x{m.shape[1]} but vector has length {x.shape[0]}"
-        )
-    return m @ x
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(
-            f"matmul: left is {a.shape[0]}x{a.shape[1]} but right is {b.shape[0]}x{b.shape[1]}"
-        )
-    return a @ b
 
 
 def invert(m: np.ndarray) -> np.ndarray:

@@ -140,7 +140,8 @@ def test_train_rejects_non_finite_csv(tmp_path):
 
 def test_train_rejects_malformed_csv(tmp_path):
     for text, where in ((b"f0,f1,label\n1.0,abc,0\n", ":2: "), (b"f0,f1,label\n", ":1: "),
-                        (b"f0,f1,label\n\xff,0,0\n", ": not UTF-8")):
+                        (b"f0,f1,label\n\xff,0,0\n", ": not UTF-8"),
+                        (b"f0,f1,label\n1.0,2.0,-1\n1.0,2.0,0\n1.0,2.0,1\n", ":2: ")):
         data_path = tmp_path / "data.csv"
         data_path.write_bytes(text)
         cfg = base_config(tmp_path)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from crosswise.datasets import Dataset, gen_blobs, gen_xor, load_csv, save_csv, split
+from crosswise.datasets import Dataset, gen_blobs, gen_xor, load_csv, save_csv
 from crosswise.errors import ParameterError, ShapeError
 
 from oracles import perceptron_separable
@@ -16,6 +16,8 @@ def test_dataset_validation():
         Dataset(features=np.zeros((2, 2)), labels=np.array([0, 5]), class_count=2)
     with pytest.raises(ParameterError):
         Dataset(features=np.zeros((2, 2)), labels=np.array([0, 1]), class_count=-1)
+    with pytest.raises(ParameterError, match="integers"):
+        Dataset(features=np.zeros((3, 2)), labels=np.array([0.5, 1.9, 0.0]), class_count=2)
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ParameterError):
             Dataset(features=np.array([[0.0, bad], [1.0, 1.0]]), labels=np.array([0, 1]),
@@ -101,34 +103,6 @@ def test_xor_thousand_samples_has_both_labels():
     assert set(np.unique(data.labels)) == {0, 1}
 
 
-def test_split_even():
-    data = gen_blobs(seed=7, samples_per_class=5, dims=2, class_count=2, spread=0.2)
-    train_part, eval_part = split(data, 0.5, seed=0)
-    assert train_part.sample_count == 5
-    assert eval_part.sample_count == 5
-
-
-def test_split_preserves_multiset():
-    data = gen_xor(seed=8, samples=31, noise=0.05)
-    train_part, eval_part = split(data, 0.7, seed=1)
-    assert train_part.sample_count + eval_part.sample_count == 31
-    merged = np.vstack([train_part.features, eval_part.features])
-    original = data.features[np.lexsort(data.features.T)]
-    recombined = merged[np.lexsort(merged.T)]
-    np.testing.assert_array_equal(original, recombined)
-
-
-def test_split_deterministic_and_validated():
-    data = gen_xor(seed=9, samples=20, noise=0.0)
-    a1, b1 = split(data, 0.25, seed=3)
-    a2, b2 = split(data, 0.25, seed=3)
-    np.testing.assert_array_equal(a1.features, a2.features)
-    np.testing.assert_array_equal(b1.labels, b2.labels)
-    for bad in (0.0, 1.0, -0.5, 1.5):
-        with pytest.raises(ParameterError):
-            split(data, bad, seed=0)
-
-
 def test_csv_roundtrip_classification(tmp_path):
     data = gen_blobs(seed=10, samples_per_class=7, dims=3, class_count=2, spread=0.4)
     path = tmp_path / "blobs.csv"
@@ -170,6 +144,7 @@ def test_csv_rejects_malformed(tmp_path):
     for text, where in (("f0,f1,label\n1.0,2.0,0\n1.0,abc,1\n", ":3: "),
                         ("f0,f1,label\n1.0,2.0,x\n", ":2: "),
                         ("f0,f1,label\n1.0,,0\n", ":2: "),
+                        ("f0,f1,label\n1.0,2.0,0\n1.0,2.0,1\n1.0,2.0,-1\n", ":4: "),
                         ("f0,f1,label\n", ":1: ")):
         bad.write_text(text)
         with pytest.raises(ParameterError, match=f"bad.csv{where}"):

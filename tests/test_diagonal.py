@@ -8,7 +8,6 @@ from crosswise.diagonal import (
     block_count,
     crosswise_backward,
     crosswise_forward,
-    decurto_product,
     expand_to_dense,
     init_crosswise,
 )
@@ -36,29 +35,6 @@ def test_weights_invariants():
         CrosswiseWeights(in_dim=4, out_dim=10, k=2, c=np.zeros(8), b=np.zeros(10))
     with pytest.raises(ShapeError):
         CrosswiseWeights(in_dim=4, out_dim=10, k=3, c=np.zeros(11), b=np.zeros(10))
-
-
-def test_decurto_product_examples():
-    np.testing.assert_array_equal(
-        decurto_product(np.array([2.0, 3.0]), np.array([4.0, 5.0])), [8.0, 15.0]
-    )
-    x = np.array([7.0, -1.0, 0.5])
-    np.testing.assert_array_equal(decurto_product(np.ones(3), x), x)
-    with pytest.raises(ShapeError):
-        decurto_product(np.zeros(3), np.zeros(4))
-
-
-def test_decurto_product_commutative_bilinear():
-    rng = CounterRng(300)
-    for _ in range(10):
-        c = rng.uniform(6, -1, 1)
-        x = rng.uniform(6, -1, 1)
-        y = rng.uniform(6, -1, 1)
-        alpha, beta = rng.uniform(2, -2, 2)
-        assert np.max(np.abs(decurto_product(c, x) - decurto_product(x, c))) < 1e-12
-        lhs = decurto_product(c, alpha * x + beta * y)
-        rhs = alpha * decurto_product(c, x) + beta * decurto_product(c, y)
-        assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
 def test_forward_unit_coefficients_replicate():

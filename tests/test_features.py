@@ -11,7 +11,6 @@ from crosswise.features import (
     fwht,
     kernel_exact,
     next_power_of_two,
-    rbf_expansion_eval,
     sample_block,
     sample_feature_map,
 )
@@ -250,31 +249,6 @@ def test_pair_error_at_4096_features():
     phi = dense_gaussian_features(12, 2048, d, sigma)
     dense = float(phi(x) @ phi(y))
     assert abs(dense - exact) <= 0.08
-
-
-def test_rbf_expansion_eval():
-    rng = CounterRng(13)
-    centers = [rng.normal(8) / 3.0 for _ in range(5)]
-    amplitudes = rng.uniform(5, -1, 1)
-    x = rng.normal(8) / 3.0
-    sigma = 1.0
-
-    assert rbf_expansion_eval([x], [1.0], x, sigma) == 1.0
-    assert rbf_expansion_eval(centers, np.zeros(5), x, sigma) == 0.0
-
-    exact = sum(a * kernel_exact(x, c, sigma) for a, c in zip(amplitudes, centers))
-    assert abs(rbf_expansion_eval(centers, amplitudes, x, sigma) - exact) < 1e-12
-
-    fm = sample_feature_map(14, 8, sigma, 256)
-    approx = rbf_expansion_eval(centers, amplitudes, x, sigma, fm=fm)
-    assert abs(approx - exact) <= 0.1 * float(np.sum(np.abs(amplitudes)))
-
-
-def test_rbf_expansion_validation():
-    with pytest.raises(ParameterError):
-        rbf_expansion_eval([np.zeros(3)], [1.0, 2.0], np.zeros(3), 1.0)
-    with pytest.raises(ShapeError):
-        rbf_expansion_eval([np.zeros(4)], [1.0], np.zeros(3), 1.0)
 
 
 def test_feature_maps_bitwise_deterministic():

@@ -2,106 +2,45 @@ import numpy as np
 import pytest
 
 from crosswise.errors import ShapeError, SingularMatrixError
-from crosswise.linalg import identity, invert, matmul, matvec, matrix, pinv_full_rank, vector
+from crosswise.linalg import invert, pinv_full_rank
 from crosswise.rng import CounterRng
-
-from oracles import naive_matmul, naive_matvec
-
-
-def test_vector_rejects_non_finite():
-    with pytest.raises(ValueError):
-        vector([1.0, np.nan])
-    with pytest.raises(ValueError):
-        vector([np.inf, 0.0])
-    with pytest.raises(ShapeError):
-        vector([[1.0, 2.0]])
-
-
-def test_matrix_rejects_bad_shapes():
-    with pytest.raises(ShapeError):
-        matrix([1.0, 2.0])
-    with pytest.raises(ValueError):
-        matrix([[1.0, np.nan]])
-
-
-def test_matvec_examples():
-    np.testing.assert_array_equal(
-        matvec(matrix([[1, 2], [3, 4]]), vector([1, 1])), [3.0, 7.0]
-    )
-    np.testing.assert_array_equal(matvec(identity(3), vector([5, 6, 7])), [5.0, 6.0, 7.0])
-    with pytest.raises(ShapeError) as err:
-        matvec(matrix([[1, 2, 3], [4, 5, 6]]), vector([1, 2]))
-    assert "3" in str(err.value) and "2" in str(err.value)
-
-
-def test_matmul_examples():
-    b = matrix([[5, 6], [7, 8]])
-    np.testing.assert_array_equal(matmul(identity(2), b), b)
-    np.testing.assert_array_equal(
-        matmul(matrix([[1, 2], [3, 4]]), matrix([[1], [1]])), [[3.0], [7.0]]
-    )
-    with pytest.raises(ShapeError):
-        matmul(matrix([[1, 2], [3, 4]]), matrix([[1], [2], [3]]))
-
-
-def test_matvec_matmul_against_naive_oracle():
-    rng = CounterRng(100)
-    for _ in range(25):
-        rows, inner, cols = (int(v) for v in rng.integers(3, 1, 9))
-        a = rng.uniform(rows * inner, -1, 1).reshape(rows, inner)
-        b = rng.uniform(inner * cols, -1, 1).reshape(inner, cols)
-        x = rng.uniform(inner, -1, 1)
-        np.testing.assert_allclose(matvec(a, x), naive_matvec(a, x), atol=1e-12)
-        np.testing.assert_allclose(matmul(a, b), naive_matmul(a, b), atol=1e-12)
-
-
-def test_matvec_composition_property():
-    rng = CounterRng(101)
-    for _ in range(20):
-        p, q, r = (int(v) for v in rng.integers(3, 1, 17))
-        a = rng.uniform(p * q, -1, 1).reshape(p, q)
-        b = rng.uniform(q * r, -1, 1).reshape(q, r)
-        x = rng.uniform(r, -1, 1)
-        np.testing.assert_allclose(
-            matvec(matmul(a, b), x), matvec(a, matvec(b, x)), atol=1e-10
-        )
 
 
 def test_invert_examples():
     np.testing.assert_allclose(
-        invert(matrix([[2, 0], [0, 4]])), [[0.5, 0.0], [0.0, 0.25]], atol=1e-15
+        invert(np.array([[2, 0], [0, 4]], dtype=float)), [[0.5, 0.0], [0.0, 0.25]], atol=1e-15
     )
-    np.testing.assert_allclose(invert(identity(4)), identity(4), atol=1e-15)
+    np.testing.assert_allclose(invert(np.eye(4)), np.eye(4), atol=1e-15)
     with pytest.raises(SingularMatrixError):
-        invert(matrix([[1, 1], [1, 1]]))
+        invert(np.array([[1, 1], [1, 1]], dtype=float))
 
 
 def test_invert_requires_square():
     with pytest.raises(ShapeError):
-        invert(matrix([[1, 2, 3], [4, 5, 6]]))
+        invert(np.array([[1, 2, 3], [4, 5, 6]], dtype=float))
 
 
 def test_invert_well_conditioned_random():
     rng = CounterRng(102)
     for _ in range(20):
         n = int(rng.integers(1, 2, 9)[0])
-        m = rng.uniform(n * n, -1, 1).reshape(n, n) + 2.0 * identity(n)
-        residual = matmul(invert(m), m) - identity(n)
+        m = rng.uniform(n * n, -1, 1).reshape(n, n) + 2.0 * np.eye(n)
+        residual = invert(m) @ m - np.eye(n)
         assert np.max(np.abs(residual)) < 1e-8
 
 
 def test_pinv_examples():
     np.testing.assert_allclose(
-        pinv_full_rank(matrix([[1], [1]])), [[0.5, 0.5]], atol=1e-15
+        pinv_full_rank(np.array([[1], [1]], dtype=float)), [[0.5, 0.5]], atol=1e-15
     )
-    np.testing.assert_allclose(pinv_full_rank(identity(3)), identity(3), atol=1e-12)
+    np.testing.assert_allclose(pinv_full_rank(np.eye(3)), np.eye(3), atol=1e-12)
     with pytest.raises(SingularMatrixError):
-        pinv_full_rank(matrix([[1, 1], [1, 1]]))
+        pinv_full_rank(np.array([[1, 1], [1, 1]], dtype=float))
 
 
 def test_pinv_rejects_wide():
     with pytest.raises(ShapeError):
-        pinv_full_rank(matrix([[1, 2, 3], [4, 5, 6]]))
+        pinv_full_rank(np.array([[1, 2, 3], [4, 5, 6]], dtype=float))
 
 
 def test_pinv_left_inverse_property():
@@ -110,16 +49,16 @@ def test_pinv_left_inverse_property():
         cols = int(rng.integers(1, 2, 9)[0])
         rows = cols + int(rng.integers(1, 0, 5)[0])
         m = rng.uniform(rows * cols, -1, 1).reshape(rows, cols)
-        m[:cols] += 2.0 * identity(cols)
-        residual = matmul(pinv_full_rank(m), m) - identity(cols)
+        m[:cols] += 2.0 * np.eye(cols)
+        residual = pinv_full_rank(m) @ m - np.eye(cols)
         assert np.max(np.abs(residual)) < 1e-8
 
 
 def test_pinv_matches_lstsq():
     rng = CounterRng(104)
     m = rng.uniform(6 * 3, -1, 1).reshape(6, 3)
-    m[:3] += 2.0 * identity(3)
+    m[:3] += 2.0 * np.eye(3)
     y = rng.uniform(6, -1, 1)
     np.testing.assert_allclose(
-        matvec(pinv_full_rank(m), y), np.linalg.lstsq(m, y, rcond=None)[0], atol=1e-10
+        pinv_full_rank(m) @ y, np.linalg.lstsq(m, y, rcond=None)[0], atol=1e-10
     )

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from crosswise.errors import ParameterError, ShapeError
-from crosswise.linalg import identity, matmul, matrix, pinv_full_rank
+from crosswise.linalg import pinv_full_rank
 from crosswise.products import (
     IDENTITY_THRESHOLDS,
     hadamard,
@@ -17,11 +17,12 @@ from oracles import khatri_rao_definition, kron_definition
 
 def test_kronecker_examples():
     np.testing.assert_array_equal(
-        kronecker(matrix([[1, 2]]), matrix([[0, 1]])), [[0.0, 1.0, 0.0, 2.0]]
+        kronecker(np.array([[1, 2]], dtype=float), np.array([[0, 1]], dtype=float)),
+        [[0.0, 1.0, 0.0, 2.0]],
     )
-    b = matrix([[1, 2], [3, 4]])
-    np.testing.assert_array_equal(kronecker(matrix([[1]]), b), b)
-    z = kronecker(matrix([[0, 0], [0, 0]]), b)
+    b = np.array([[1, 2], [3, 4]], dtype=float)
+    np.testing.assert_array_equal(kronecker(np.array([[1]], dtype=float), b), b)
+    z = kronecker(np.array([[0, 0], [0, 0]], dtype=float), b)
     assert z.shape == (4, 4)
     assert np.all(z == 0.0)
 
@@ -37,12 +38,13 @@ def test_kronecker_matches_definition_oracle():
 
 def test_khatri_rao_examples():
     np.testing.assert_array_equal(
-        khatri_rao(matrix([[1], [2]]), matrix([[3], [4]])), [[3.0], [4.0], [6.0], [8.0]]
+        khatri_rao(np.array([[1], [2]], dtype=float), np.array([[3], [4]], dtype=float)),
+        [[3.0], [4.0], [6.0], [8.0]],
     )
-    a = matrix([[1, 2, 3], [4, 5, 6]])
-    np.testing.assert_array_equal(khatri_rao(a, matrix([[1, 1, 1]])), a)
+    a = np.array([[1, 2, 3], [4, 5, 6]], dtype=float)
+    np.testing.assert_array_equal(khatri_rao(a, np.array([[1, 1, 1]], dtype=float)), a)
     with pytest.raises(ShapeError):
-        khatri_rao(matrix([[1, 2, 3], [4, 5, 6]]), matrix([[1, 2], [3, 4]]))
+        khatri_rao(a, np.array([[1, 2], [3, 4]], dtype=float))
 
 
 def test_khatri_rao_matches_columnwise_oracle():
@@ -56,24 +58,25 @@ def test_khatri_rao_matches_columnwise_oracle():
 
 def test_hadamard_examples():
     np.testing.assert_array_equal(
-        hadamard(matrix([[1, 2], [3, 4]]), matrix([[2, 2], [2, 2]])),
+        hadamard(np.array([[1, 2], [3, 4]], dtype=float), np.full((2, 2), 2.0)),
         [[2.0, 4.0], [6.0, 8.0]],
     )
-    a = matrix([[5, -1], [0, 2]])
+    a = np.array([[5, -1], [0, 2]], dtype=float)
     np.testing.assert_array_equal(hadamard(a, np.ones((2, 2))), a)
     with pytest.raises(ShapeError):
-        hadamard(matrix([[1, 2], [3, 4]]), matrix([[1, 2, 3], [4, 5, 6]]))
+        hadamard(np.array([[1, 2], [3, 4]], dtype=float),
+                 np.array([[1, 2, 3], [4, 5, 6]], dtype=float))
 
 
 def test_identities_hold_for_identity_factors():
-    i2 = identity(2)
+    i2 = np.eye(2)
     np.testing.assert_array_equal(
-        matmul(kronecker(i2, i2), kronecker(i2, i2)),
-        kronecker(matmul(i2, i2), matmul(i2, i2)),
+        kronecker(i2, i2) @ kronecker(i2, i2),
+        kronecker(i2 @ i2, i2 @ i2),
     )
     kr = khatri_rao(i2, i2)
     np.testing.assert_array_equal(
-        matmul(kr.T, kr), hadamard(matmul(i2.T, i2), matmul(i2.T, i2))
+        kr.T @ kr, hadamard(i2.T @ i2, i2.T @ i2)
     )
     np.testing.assert_array_equal(
         khatri_rao(khatri_rao(i2, i2), i2), khatri_rao(i2, khatri_rao(i2, i2))
