@@ -120,24 +120,28 @@ def save_csv(data: Dataset, path) -> None:
 def load_csv(path) -> Dataset:
     """Inverse of save_csv; integral labels mean classification (class_count = max+1).
 
-    A header-only file, a cell that is not a number or a negative integral
-    label raises ParameterError naming ``path:line``; so does a file that is
-    not UTF-8 text, naming ``path``.
+    A header-only file, a cell that is not a number or an integral label that
+    is negative or beyond int64 raises ParameterError naming ``path:line``
+    (blank lines are skipped but counted); so does a file that is not UTF-8
+    text, naming ``path``.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = [line.rstrip("\n") for line in fh if line.strip()]
+            # (line number, text) of every non-blank line, numbered as in the file.
+            lines = [(ln, line.rstrip("\n")) for ln, line in enumerate(fh, start=1)
+                     if line.strip()]
     except UnicodeDecodeError as exc:
         raise ParameterError(f"{path}: not UTF-8 text ({exc.reason})") from exc
     if not lines:
         raise ParameterError(f"{path}: empty dataset file")
-    header = lines[0].split(",")
+    header_ln, header_line = lines[0]
+    header = header_line.split(",")
     if header[-1] != "label" or any(h != f"f{j}" for j, h in enumerate(header[:-1])):
-        raise ParameterError(f"{path}: malformed header {lines[0]!r}")
+        raise ParameterError(f"{path}: malformed header {header_line!r}")
     dim = len(header) - 1
     rows = []
     raw_labels = []
-    for ln, line in enumerate(lines[1:], start=2):
+    for ln, line in lines[1:]:
         cells = line.split(",")
         if len(cells) != dim + 1:
             raise ParameterError(f"{path}:{ln}: expected {dim + 1} columns, got {len(cells)}")
@@ -147,12 +151,13 @@ def load_csv(path) -> Dataset:
             raise ParameterError(f"{path}:{ln}: {exc}") from exc
         raw_labels.append(cells[-1])
     if not rows:
-        raise ParameterError(f"{path}:1: header but no data rows")
+        raise ParameterError(f"{path}:{header_ln}: header but no data rows")
     if all(_parses_as_int(s) for s in raw_labels):
-        labels = np.array([int(s) for s in raw_labels], dtype=np.int64)
-        if labels.min() < 0:
-            row = int(np.argmax(labels < 0))
-            raise ParameterError(f"{path}:{row + 2}: negative class label {labels[row]}")
+        ints = [int(s) for s in raw_labels]
+        for (ln, _), label in zip(lines[1:], ints):
+            if not 0 <= label < 2**63:  # int64
+                raise ParameterError(f"{path}:{ln}: class label {label} is outside [0, 2**63)")
+        labels = np.array(ints, dtype=np.int64)
         class_count = int(labels.max()) + 1
     else:
         labels = np.array([float(s) for s in raw_labels])

@@ -94,7 +94,7 @@ def expand_to_dense(w: CrosswiseWeights) -> np.ndarray:
 
 def crosswise_backward(
     w: CrosswiseWeights, x: np.ndarray, upstream: np.ndarray, activation: str = "relu",
-    input_grad: bool = True,
+    input_grad: bool = True, out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Gradients (grad_c, grad_b, grad_x) of the forward map.
 
@@ -102,17 +102,29 @@ def crosswise_backward(
     grad_b are summed over the rows and grad_x has one row per input row;
     with input_grad=False, grad_x is not computed and comes back as None.
     The ReLU derivative at a pre-activation of exactly 0 is taken as 0.
+    `out`, if given, must be what `crosswise_forward` returned for this `x`:
+    the ReLU mask is then read from it instead of recomputing the product.
     """
     _check_activation(activation)
-    pre = _pre_activation(w, x)
-    if upstream.shape != pre.shape:
-        raise ShapeError(f"upstream must have shape {pre.shape}, got {upstream.shape}")
+    if out is None:
+        out = _pre_activation(w, x)
+    elif x.shape[-1:] != (w.in_dim,) or out.shape[-1:] != (w.out_dim,):
+        raise ShapeError(f"crosswise input and output must have lengths {w.in_dim} and "
+                         f"{w.out_dim}, got shapes {x.shape} and {out.shape}")
+    if upstream.shape != out.shape:
+        raise ShapeError(f"upstream must have shape {out.shape}, got {upstream.shape}")
     if activation == "relu":
-        g = np.where(pre > 0.0, upstream, 0.0)
+        # relu(pre) > 0 exactly where pre > 0, NaN included.
+        g = np.where(out > 0.0, upstream, 0.0)
     else:
         g = np.asarray(upstream, dtype=np.float64)
-    g_ext = np.zeros((*g.shape[:-1], w.k * w.in_dim))
-    g_ext[..., : w.out_dim] = g
+    if w.out_dim == w.k * w.in_dim:
+        # C order, as the zero-filled copy had: the row sums below round
+        # differently if the rows are not the outer axis.
+        g_ext = np.ascontiguousarray(g)
+    else:
+        g_ext = np.zeros((*g.shape[:-1], w.k * w.in_dim))
+        g_ext[..., : w.out_dim] = g
     g_blocks = g_ext.reshape(*g.shape[:-1], w.k, w.in_dim)
     grad_c = (g_blocks * x[..., None, :]).reshape(-1, w.k * w.in_dim).sum(axis=0)
     grad_b = g.reshape(-1, w.out_dim).sum(axis=0)

@@ -21,7 +21,8 @@ is the B=1 case of the same code.  Parameter gradients come back summed over
 the rows, input gradients stay per row, and `loss_eval` is the mean over rows.
 Backprop calls the first layer's ``backward(..., input_grad=False)``, since
 nothing reads that layer's input gradient: it comes back as None, and no
-layer computes it.
+layer computes it.  It also hands each layer its forward output as
+``backward(..., out=...)``, so that no diagonal product is computed twice.
 """
 
 from __future__ import annotations
@@ -142,8 +143,8 @@ class DenseLayer:
         out = np.maximum(pre, 0.0) if self.spec.activation == "relu" else pre
         return out, (x, pre)
 
-    def backward(self, cache, g_out: np.ndarray, input_grad: bool = True):
-        x, pre = cache
+    def backward(self, cache, g_out: np.ndarray, input_grad: bool = True, out=None):
+        x, pre = cache  # `out` is not needed: the cache holds `pre`
         if self.spec.activation == "relu":
             g_pre = np.where(pre > 0.0, g_out, 0.0)
         else:
@@ -183,9 +184,9 @@ class CrosswiseLayer:
     def forward(self, x: np.ndarray):
         return crosswise_forward(self.weights, x, self._activation), x
 
-    def backward(self, cache, g_out: np.ndarray, input_grad: bool = True):
+    def backward(self, cache, g_out: np.ndarray, input_grad: bool = True, out=None):
         grad_c, grad_b, grad_x = crosswise_backward(
-            self.weights, cache, g_out, self._activation, input_grad
+            self.weights, cache, g_out, self._activation, input_grad, out
         )
         return {"c": grad_c, "b": grad_b}, grad_x
 
@@ -223,22 +224,27 @@ class CrosswiseMixedLayer(CrosswiseLayer):
             raise ShapeError(
                 f"expected input of length {self.spec.in_dim}, got shape {x.shape}"
             )
-        padded = np.zeros((*x.shape[:-1], self.pad))
-        padded[..., : self.spec.in_dim] = x
-        u = fwht(self.signs * padded)[..., self.perm] * self._scale
+        padded = x
+        if self.spec.in_dim != self.pad:
+            padded = np.zeros((*x.shape[:-1], self.pad))
+            padded[..., : self.spec.in_dim] = x
+        # Keep the fancy-index gather: for a batch it returns an F-ordered
+        # array, and the bits of a following dense layer's product depend on it.
+        u = fwht(self.signs * padded)[..., self.perm]
+        u *= self._scale
         return crosswise_forward(self.weights, u, self._activation), u
 
-    def backward(self, cache, g_out: np.ndarray, input_grad: bool = True):
+    def backward(self, cache, g_out: np.ndarray, input_grad: bool = True, out=None):
         grad_c, grad_b, grad_u = crosswise_backward(
-            self.weights, cache, g_out, self._activation, input_grad
+            self.weights, cache, g_out, self._activation, input_grad, out
         )
         g_x = None
         if input_grad:
-            # Transpose of the mixing stage: unscale, unpermute, FWHT
-            # (symmetric), sign-flip, then drop the padding coordinates.
-            g_v = np.zeros(grad_u.shape)
+            # Transpose of the mixing stage: unscale, unpermute (into every slot),
+            # FWHT (symmetric), then sign-flip only the coordinates that are kept.
+            g_v = np.empty(grad_u.shape)
             g_v[..., self.perm] = grad_u * self._scale
-            g_x = (self.signs * fwht(g_v))[..., : self.spec.in_dim]
+            g_x = self.signs[: self.spec.in_dim] * fwht(g_v)[..., : self.spec.in_dim]
         return {"c": grad_c, "b": grad_b}, g_x
 
 
@@ -294,7 +300,7 @@ def _forward_with_caches(net: Network, x: np.ndarray):
             out, cache = layer.forward(out)
         except ShapeError as exc:
             raise ShapeError(f"layer {i}: {exc}") from exc
-        caches.append(cache)
+        caches.append((cache, out))
     return out, caches
 
 
@@ -306,7 +312,7 @@ def softmax(z: np.ndarray) -> np.ndarray:
 
 
 def _check_one_hot(target: np.ndarray):
-    if not (np.all((target == 0.0) | (target == 1.0)) and np.all(np.sum(target, axis=-1) == 1.0)):
+    if not (((target == 0.0) | (target == 1.0)).all() and (target.sum(axis=-1) == 1.0).all()):
         raise ParameterError("cross_entropy target must be one-hot")
 
 
@@ -322,13 +328,14 @@ def loss_eval(kind: str, prediction: np.ndarray, target: np.ndarray) -> float:
         )
     if kind == "mse":
         diff = prediction - target
-        return float(np.mean(diff * diff))
+        return float((diff * diff).mean())
     _check_one_hot(target)
     # -log softmax(prediction)[hot] with log-sum-exp stabilization.
-    shifted = prediction - np.max(prediction, axis=-1, keepdims=True)
-    log_norm = np.log(np.sum(np.exp(shifted), axis=-1))
-    hot = np.take_along_axis(shifted, np.argmax(target, axis=-1)[..., None], axis=-1)
-    return float(np.mean(log_norm - hot[..., 0]))
+    shifted = prediction - prediction.max(axis=-1, keepdims=True)
+    log_norm = np.log(np.exp(shifted).sum(axis=-1))
+    rows = shifted.reshape(-1, shifted.shape[-1])
+    hot = rows[np.arange(rows.shape[0]), target.argmax(axis=-1).ravel()]
+    return float((log_norm - hot.reshape(log_norm.shape)).mean())
 
 
 def _loss_gradient(kind: str, prediction: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -357,7 +364,8 @@ def _backward_with_loss(net: Network, x, target, loss_kind):
     g = _loss_gradient(loss_kind, prediction, target)
     grads: list = [None] * len(net.layers)
     for i in range(len(net.layers) - 1, -1, -1):
-        grads[i], g = net.layers[i].backward(caches[i], g, input_grad=i > 0)
+        cache, out = caches[i]
+        grads[i], g = net.layers[i].backward(cache, g, input_grad=i > 0, out=out)
     return grads, loss
 
 

@@ -90,6 +90,30 @@ def butterfly_fwht(v):
     return a.reshape(*lead, n)
 
 
+def mixing_stage(x, signs, perm):
+    """The mixed layer's fixed stage as first written: explicit zero pad to
+    len(signs), sign flip, radix-2 FWHT, fancy-index gather, then scale.
+
+    The gather returns an F-ordered array for a 2-D batch; the result's
+    memory layout is part of what this reference pins.
+    """
+    pad = len(signs)
+    padded = np.zeros((*np.shape(x)[:-1], pad))
+    padded[..., : np.shape(x)[-1]] = x
+    return butterfly_fwht(signs * padded)[..., perm] * (1.0 / np.sqrt(pad))
+
+
+def zero_padded_block_grads(c, m, x, g):
+    """(grad_c, grad_x) of the diagonal map from a zero-filled (..., k*N) copy
+    of the masked upstream `g`, summed over rows in that array's C order."""
+    k, n = len(c) // x.shape[-1], x.shape[-1]
+    g_ext = np.zeros((*g.shape[:-1], k * n))
+    g_ext[..., :m] = g
+    blocks = g_ext.reshape(*g.shape[:-1], k, n)
+    grad_c = (blocks * x[..., None, :]).reshape(-1, k * n).sum(axis=0)
+    return grad_c, (np.reshape(c, (k, n)) * blocks).sum(axis=-2)
+
+
 def dense_embedding(c, n, m):
     """M x N stack of diagonal blocks, truncated to M rows: row r holds c[r] at column r mod N."""
     out = np.zeros((m, n))

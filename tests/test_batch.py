@@ -15,6 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import crosswise.diagonal as diagonal
+from crosswise.diagonal import crosswise_backward, crosswise_forward, init_crosswise
 from crosswise.features import (
     apply_zhat,
     feature_map_apply,
@@ -34,7 +36,15 @@ from crosswise.network import (
 )
 from crosswise.rng import CounterRng
 
-from oracles import butterfly_fwht, dense_embedding, hadamard_matrix, naive_fwht, zhat_dense
+from oracles import (
+    butterfly_fwht,
+    dense_embedding,
+    hadamard_matrix,
+    mixing_stage,
+    naive_fwht,
+    zero_padded_block_grads,
+    zhat_dense,
+)
 
 DIMS = (1, 2, 3, 4, 5, 8, 13, 16)
 RELATIONS = ("M<N", "M=N", "M>N")
@@ -214,3 +224,118 @@ def test_network_loss_and_gradients_batch_equal_rows(loss_kind, kind, n, batch, 
     for li, layer_grads in enumerate(grads):
         for name, g in layer_grads.items():
             _close(g, sum(rg[li][name] for rg in row_grads))
+
+
+def _layout(a, order):
+    """`a` as given, Fortran-ordered, or as a strided view; values unchanged."""
+    if order == "fortran":
+        return np.asfortranarray(a)
+    if order == "strided":
+        wide = np.zeros((*a.shape[:-1], 2 * a.shape[-1]))
+        wide[..., ::2] = a
+        return wide[..., ::2]
+    return a
+
+
+LAYOUTS = ("c", "fortran", "strided")
+
+
+@pytest.mark.parametrize("relation", RELATIONS)
+@pytest.mark.parametrize("kind", LAYER_KINDS)
+def test_layer_backward_with_out_equals_recompute(kind, relation):
+    """Reading the ReLU mask from the forward output changes no bit."""
+
+    @PROPERTY
+    @given(_layer_case(relation), st.booleans(), st.booleans())
+    def check(case, one_row, kinks):
+        n, m, activation, batch, seed = case
+        layer = _layer(kind, n, m, activation, seed)
+        x = _normals(seed, 8, batch, n)
+        g_out = _normals(seed, 9, batch, m)
+        if kinks:  # zero inputs and bias put pre-activations exactly on the kink
+            x[:, ::2] = 0.0
+            layer.params()["b"][:] = 0.0
+        if one_row:
+            x, g_out = x[0], g_out[0]
+        out, cache = layer.forward(x)
+        grads, g_x = layer.backward(cache, g_out)
+        grads_out, g_x_out = layer.backward(cache, g_out, out=out)
+        for name in grads:
+            np.testing.assert_array_equal(grads_out[name], grads[name])
+        np.testing.assert_array_equal(g_x_out, g_x)
+        assert layer.backward(cache, g_out, input_grad=False, out=out)[1] is None
+
+    check()
+
+
+@pytest.mark.parametrize("x_order", LAYOUTS)
+@pytest.mark.parametrize("g_order", LAYOUTS)
+@PROPERTY
+@given(st.sampled_from(DIMS), st.sampled_from(RELATIONS), st.sampled_from(("relu", "identity")),
+       st.integers(0, 40), st.booleans(), st.integers(0, 2**32 - 1))
+def test_crosswise_backward_with_out_equals_recompute(x_order, g_order, n, relation, activation,
+                                                       batch, nan, seed):
+    """Batch 0 stands for one 1-D input.  Every layout sums the rows in the
+    zero-padded order; from 8 rows on, another order rounds differently."""
+    # M>N: full blocks (M = 2N or 3N) or a partial last block.
+    m = {"M<N": max(1, n // 2), "M=N": n, "M>N": (2 + seed % 2) * n + seed // 2 % 2}[relation]
+    w = init_crosswise(seed, n, m)
+    w.b[:] = _normals(seed, 7, m)
+    shape = (batch,) if batch else ()
+    x = _normals(seed, 8, *shape, n)
+    x.reshape(-1)[::3] = 0.0
+    if nan:
+        x.reshape(-1)[-1] = np.nan
+    x = _layout(x, x_order)
+    upstream = _layout(_normals(seed, 9, *shape, m), g_order)
+    out = crosswise_forward(w, x, activation)
+    expected = crosswise_backward(w, x, upstream, activation)
+    given_out = crosswise_backward(w, x, upstream, activation, out=out)
+    for a, b in zip(given_out, expected):
+        np.testing.assert_array_equal(a, b)
+    g = np.where(out > 0.0, upstream, 0.0) if activation == "relu" else upstream
+    grad_c, grad_x = zero_padded_block_grads(w.c, m, x, g)
+    np.testing.assert_array_equal(given_out[0], grad_c)
+    np.testing.assert_array_equal(given_out[2], grad_x)
+
+
+def test_network_backward_computes_each_diagonal_product_once(monkeypatch):
+    spec = NetworkSpec(layers=(
+        LayerSpec(kind="crosswise", in_dim=6, out_dim=8, activation="relu"),
+        LayerSpec(kind="crosswise_mixed", in_dim=8, out_dim=5, activation="relu"),
+        LayerSpec(kind="dense", in_dim=5, out_dim=7, activation="relu"),
+        LayerSpec(kind="crosswise_mixed", in_dim=7, out_dim=3, activation="softmax_output"),
+    ), seed=41)
+    net = build_network(spec)
+    calls = []
+    real = diagonal._pre_activation
+
+    def counted(w, x):
+        calls.append(x.shape)
+        return real(w, x)
+
+    monkeypatch.setattr(diagonal, "_pre_activation", counted)
+    x = _normals(41, 1, 4, 6)
+    network_backward(net, x, np.eye(3)[[0, 2, 1, 2]], "cross_entropy")
+    assert len(calls) == 3
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(DIMS + (33, 64)), st.integers(1, 80), st.integers(0, 5),
+       st.sampled_from(LAYOUTS), st.integers(0, 2**32 - 1))
+def test_mixing_stage_bits_and_layout_match_reference(n, m, batch, x_order, seed):
+    """Batch 0 stands for one 1-D input.  The mixed layer's cached stage output
+    has the reference's values and memory layout, so a following layer sees
+    the same array whether or not the input needed padding.  Strides are
+    compared on the axes longer than 1; NumPy never steps along the others."""
+    layer = _layer("crosswise_mixed", n, m, "relu", seed)
+    x = _normals(seed, 8, *((batch,) if batch else ()), n)
+    out, u = layer.forward(_layout(x, x_order))
+    expected = mixing_stage(x, layer.signs, layer.perm)
+    np.testing.assert_array_equal(u, expected)
+
+    def steps(a):
+        return [stride for stride, extent in zip(a.strides, a.shape) if extent > 1]
+
+    assert steps(u) == steps(expected)
+    np.testing.assert_array_equal(out, crosswise_forward(layer.weights, expected))

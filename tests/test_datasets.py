@@ -145,7 +145,9 @@ def test_csv_rejects_malformed(tmp_path):
                         ("f0,f1,label\n1.0,2.0,x\n", ":2: "),
                         ("f0,f1,label\n1.0,,0\n", ":2: "),
                         ("f0,f1,label\n1.0,2.0,0\n1.0,2.0,1\n1.0,2.0,-1\n", ":4: "),
-                        ("f0,f1,label\n", ":1: ")):
+                        ("f0,f1,label\n", ":1: "),
+                        ("f0,label\n1.0,0\n\n2.0,1\nx,1\n", ":5: "),
+                        ("f0,label\n1.0,0\n1.0,99999999999999999999\n", ":3: ")):
         bad.write_text(text)
         with pytest.raises(ParameterError, match=f"bad.csv{where}"):
             load_csv(bad)
