@@ -68,8 +68,10 @@ def _pre_activation(w: CrosswiseWeights, x: np.ndarray) -> np.ndarray:
         raise ShapeError(
             f"crosswise input must have length {w.in_dim}, got shape {x.shape}"
         )
-    z = x[..., None, :] * w.c.reshape(w.k, w.in_dim)
-    return z.reshape(*x.shape[:-1], w.k * w.in_dim)[..., : w.out_dim] + w.b
+    # Only the first min(N, M) columns reach an output.
+    live = min(w.in_dim, w.out_dim)
+    z = x[..., None, :live] * w.c.reshape(w.k, w.in_dim)[:, :live]
+    return z.reshape(*x.shape[:-1], w.k * live)[..., : w.out_dim] + w.b
 
 
 def crosswise_forward(w: CrosswiseWeights, x: np.ndarray, activation: str = "relu") -> np.ndarray:

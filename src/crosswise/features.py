@@ -43,23 +43,31 @@ def fwht(v: np.ndarray) -> np.ndarray:
     butterfly levels h and 2h, and an odd level count ends with one radix-2
     level.  These are the butterflies of the radix-2 recursion h = 1, 2, 4, ...
     on the same pairs in the same order, so the result is bit-identical to it.
+
+    The copy is laid out `(n, *lead)` in C order, so the rows are the
+    innermost axis and every butterfly slot is one contiguous run.  The result
+    is a view of it with the transform axis moved back to the end: a `(B, n)`
+    input comes back as the transpose of a C-ordered `(n, B)` array (Fortran
+    order), and a 1-D input as a contiguous vector.
     """
-    # C order, so that every reshape below is a view of this one copy.
-    a = np.array(v, dtype=np.float64, order="C")
-    if a.ndim == 0:
+    v = np.asarray(v)
+    if v.ndim == 0:
         raise ShapeError("fwht needs an array with a last axis, got a scalar")
-    n = a.shape[-1]
+    n = v.shape[-1]
     if n < 1 or (n & (n - 1)) != 0:
         raise ShapeError(f"fwht length must be a power of two, got {n}")
+    a = np.array(v.transpose(-1, *range(v.ndim - 1)), dtype=np.float64, order="C")
+    rows = a.size // n
     h = 1
     while 4 * h <= n:
         m = n // (4 * h)
-        # Slot views of shape (m, h, rows).  Level h pairs (a0, a1) and
+        # Slot views of shape (m, h*rows).  Level h pairs (a0, a1) and
         # (a2, a3), then level 2h pairs (a0, a2) and (a1, a3); level h's a2/a3
         # results go to the freed a0/a1 slots.  NumPy's default order loops
-        # innermost over runs of h values; for h < m, order "F" loops over m.
-        a0, a1, a2, a3 = a.reshape(-1, m, 4, h).transpose(2, 1, 3, 0)
-        order = "F" if h < m else "K"
+        # innermost over runs of h*rows values; for runs shorter than 8 and
+        # than m, order "F" loops over m.
+        a0, a1, a2, a3 = a.reshape(m, 4, h * rows).transpose(1, 0, 2)
+        order = "F" if h * rows < min(m, 8) else "K"
         s, d = np.add(a0, a1, order=order), np.subtract(a0, a1, order=order)
         np.add(a2, a3, out=a0, order=order)
         np.subtract(a2, a3, out=a1, order=order)
@@ -69,11 +77,11 @@ def fwht(v: np.ndarray) -> np.ndarray:
         np.add(d, a1, out=a1, order=order)
         h *= 4
     if h < n:
-        a0, a1 = a.reshape(-1, 2, h).transpose(1, 0, 2)
+        a0, a1 = a.reshape(2, h * rows)
         s = a0 + a1
         np.subtract(a0, a1, out=a1)
         a0[...] = s
-    return a
+    return a.transpose(*range(1, a.ndim), 0)
 
 
 @dataclass
@@ -149,27 +157,30 @@ def apply_zhat(block: McKernelBlock, x: np.ndarray) -> np.ndarray:
 
     `x` is one input `(d,)` or a `(B, d)` batch.  `block` is one block, or the
     blocks of a map stacked by `feature_map_apply` into `(blocks, n)` factors,
-    which adds a blocks axis to the output: `(..., blocks, n)`.  A stack's
-    `perm` indexes the flattened `blocks*n` axis: block i's row is offset by i*n.
+    which adds a leading blocks axis to the output: `(blocks, ..., n)`.  The
+    output is C-ordered.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 0 or x.shape[-1] > block.n:
         raise ShapeError(
             f"input must have a last axis of length <= {block.n}, got shape {x.shape}"
         )
-    padded = np.zeros(x.shape[:-1] + (block.n,))
+    n = block.n
+    padded = np.zeros(x.shape[:-1] + (n,))
     padded[..., : x.shape[-1]] = x
-    # A stack's factors are (blocks, n): each input row meets every block.
-    padded = padded.reshape(x.shape[:-1] + (1,) * (block.b_signs.ndim - 1) + (block.n,))
-    v = fwht(block.b_signs * padded)
-    flat = v.reshape(v.shape[: v.ndim - block.perm.ndim] + (block.perm.size,))
-    # In place on fresh arrays: each (B, blocks, n) temporary saved is a large
-    # allocation saved.
-    v = flat[..., block.perm.reshape(-1)].reshape(v.shape)
-    v *= block.g_diag
-    v = fwht(v)
-    v *= block.c_diag
-    v /= block.sigma * math.sqrt(block.n)
+    # A stack's factors are (blocks, n): every input row meets every block.
+    per_row = block.b_signs.shape[:-1] + (1,) * (x.ndim - 1) + (n,)
+    v = fwht(block.b_signs.reshape(per_row) * padded)
+    # P and G act on whole rows of the FWHT's (n, blocks, rows) buffer, each a
+    # contiguous run over the input rows: row p*blocks + i holds entry p of
+    # block i.  The result is the next FWHT's own layout.
+    blocks = block.perm.size // n
+    u = v.transpose(-1, *range(v.ndim - 1)).reshape(n * blocks, -1)
+    u = np.take(u, (block.perm.T * blocks + np.arange(blocks)).reshape(-1), axis=0)
+    u *= block.g_diag.T.reshape(-1, 1)
+    v = u.reshape(v.shape[-1:] + v.shape[:-1]).transpose(*range(1, v.ndim), 0)
+    v = np.multiply(fwht(v), block.c_diag.reshape(per_row), order="C")
+    v /= block.sigma * math.sqrt(n)
     return v
 
 
@@ -232,10 +243,9 @@ def feature_map_apply(fm: FeatureMap, x: np.ndarray) -> np.ndarray:
         [[getattr(b, name) for b in fm.blocks] for name in ("b_signs", "g_diag", "c_diag")]
     )
     perm = np.array([b.perm for b in fm.blocks])
-    perm += fm.n * np.arange(len(fm.blocks))[:, None]
     stack = SimpleNamespace(n=fm.n, sigma=fm.sigma, b_signs=b_signs, perm=perm,
                             g_diag=g_diag, c_diag=c_diag)
-    z = apply_zhat(stack, x)
+    z = np.moveaxis(apply_zhat(stack, x), 0, -2)
     paired = np.empty(z.shape[:-1] + (2, fm.n))
     np.cos(z, out=paired[..., 0, :])
     np.sin(z, out=paired[..., 1, :])

@@ -242,9 +242,13 @@ class CrosswiseMixedLayer(CrosswiseLayer):
         if input_grad:
             # Transpose of the mixing stage: unscale, unpermute (into every slot),
             # FWHT (symmetric), then sign-flip only the coordinates that are kept.
-            g_v = np.empty(grad_u.shape)
+            # The scatter fills the transpose of an (n, rows) buffer, the FWHT's
+            # own layout; the result is C-ordered, since a Fortran-ordered
+            # gradient makes the previous layer's row sums pairwise.
+            g_v = np.empty(grad_u.shape[::-1]).T
             g_v[..., self.perm] = grad_u * self._scale
-            g_x = self.signs[: self.spec.in_dim] * fwht(g_v)[..., : self.spec.in_dim]
+            g_x = np.multiply(self.signs[: self.spec.in_dim],
+                              fwht(g_v)[..., : self.spec.in_dim], order="C")
         return {"c": grad_c, "b": grad_b}, g_x
 
 

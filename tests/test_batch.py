@@ -119,6 +119,8 @@ def test_fwht_batch_equals_rows_and_naive(log_n, batch, seed):
     out = fwht(x)
     np.testing.assert_array_equal(x, kept)
     assert out.shape == x.shape
+    # The result is the transposed view of the C-ordered (n, B) working copy.
+    assert out.T.flags.c_contiguous
     for i in range(batch):
         np.testing.assert_array_equal(out[i], fwht(x[i]))
         np.testing.assert_allclose(out[i], naive_fwht(x[i]), rtol=0.0, atol=1e-9)
