@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import sys
 import time
@@ -159,6 +160,10 @@ def _write_history_csv(history, path):
 
 def cmd_train(args) -> int:
     net_spec, train_cfg, data_doc, out_doc = load_config(args.config)
+    for path in (out_doc["history"], out_doc["model"]):  # exit 4 before any work
+        directory = os.path.dirname(path) or "."
+        if not (os.path.isdir(directory) and os.access(directory, os.W_OK)):
+            raise OSError(f"cannot write {path}: {directory} is missing or not writable")
     data = build_dataset(data_doc)
     net = build_network(net_spec)
     history = train_network(net, train_cfg, data, threads=args.threads)

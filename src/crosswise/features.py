@@ -32,12 +32,12 @@ def next_power_of_two(d: int) -> int:
     return n
 
 
-def fwht(v: np.ndarray) -> np.ndarray:
+def fwht(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Apply the unnormalized Walsh-Hadamard matrix along the last axis in O(n log n).
 
     H_2 = [[1, 1], [1, -1]] and H_{2n} = H_2 kron H_n; the last axis must have
     power-of-two length.  A `(B, n)` input transforms each row exactly as the
-    row alone would be transformed.  The input is not modified.
+    row alone would be transformed.  The input is not modified unless it is `out`.
 
     Radix-4, in place on one copy of the input: each pass applies the
     butterfly levels h and 2h, and an odd level count ends with one radix-2
@@ -49,6 +49,10 @@ def fwht(v: np.ndarray) -> np.ndarray:
     is a view of it with the transform axis moved back to the end: a `(B, n)`
     input comes back as the transpose of a C-ordered `(n, B)` array (Fortran
     order), and a 1-D input as a contiguous vector.
+
+    `out`, if given, is used as that copy and returned: a float64 array of
+    the input's shape in this layout, e.g. ``np.empty((n, B)).T``, or else
+    ShapeError.  Nothing is copied when `out` is `v` itself.
     """
     v = np.asarray(v)
     if v.ndim == 0:
@@ -56,7 +60,16 @@ def fwht(v: np.ndarray) -> np.ndarray:
     n = v.shape[-1]
     if n < 1 or (n & (n - 1)) != 0:
         raise ShapeError(f"fwht length must be a power of two, got {n}")
-    a = np.array(v.transpose(-1, *range(v.ndim - 1)), dtype=np.float64, order="C")
+    axes = (-1, *range(v.ndim - 1))
+    if out is None:
+        out = np.empty(v.shape[-1:] + v.shape[:-1]).transpose(*range(1, v.ndim), 0)
+    elif (getattr(out, "shape", None) != v.shape or out.dtype != np.float64
+          or not out.transpose(axes).flags.c_contiguous):
+        raise ShapeError(f"fwht out must be a float64 array of shape {v.shape}, "
+                         "C-contiguous with its last axis first")
+    a = out.transpose(axes)
+    if out is not v:
+        np.copyto(a, v.transpose(axes), casting="unsafe")
     rows = a.size // n
     h = 1
     while 4 * h <= n:
@@ -81,7 +94,7 @@ def fwht(v: np.ndarray) -> np.ndarray:
         s = a0 + a1
         np.subtract(a0, a1, out=a1)
         a0[...] = s
-    return a.transpose(*range(1, a.ndim), 0)
+    return out
 
 
 @dataclass

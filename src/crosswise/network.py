@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -216,22 +216,30 @@ class CrosswiseMixedLayer(CrosswiseLayer):
         self.perm = perm
         self._scale = 1.0 / math.sqrt(self.pad)
 
-    # forward and backward call crosswise_forward/crosswise_backward themselves,
-    # not CrosswiseLayer's methods: the benchmark tracer wraps each class's own
-    # methods, and a super() call would count one mixed-layer call twice.
-    def forward(self, x: np.ndarray):
+    def stage(self, x: np.ndarray) -> np.ndarray:
+        """The fixed stage of each row of `x`, in `fwht`'s layout: a batch comes
+        back as the transpose of a C-ordered `(pad, B)` array (F order), and a
+        following dense layer's product bits depend on that layout."""
         if x.shape[-1:] != (self.spec.in_dim,):
             raise ShapeError(
                 f"expected input of length {self.spec.in_dim}, got shape {x.shape}"
             )
-        padded = x
-        if self.spec.in_dim != self.pad:
-            padded = np.zeros((*x.shape[:-1], self.pad))
-            padded[..., : self.spec.in_dim] = x
-        # Keep the fancy-index gather: for a batch it returns an F-ordered
-        # array, and the bits of a following dense layer's product depend on it.
-        u = fwht(self.signs * padded)[..., self.perm]
+        n = self.spec.in_dim
+        buf = np.empty((self.pad, *x.shape[:-1]))
+        v = buf.transpose(*range(1, buf.ndim), 0)
+        np.multiply(self.signs[:n], x, out=v[..., :n])
+        if n != self.pad:
+            v[..., n:] = self.signs[n:] * 0.0
+        fwht(v, out=v)
+        u = np.take(buf, self.perm, axis=0)
         u *= self._scale
+        return u.transpose(*range(1, u.ndim), 0)
+
+    # forward and backward call crosswise_forward/crosswise_backward themselves,
+    # not CrosswiseLayer's methods: the benchmark tracer wraps each class's own
+    # methods, and a super() call would count one mixed-layer call twice.
+    def forward(self, x: np.ndarray):
+        u = self.stage(x)
         return crosswise_forward(self.weights, u, self._activation), u
 
     def backward(self, cache, g_out: np.ndarray, input_grad: bool = True, out=None):
@@ -242,13 +250,14 @@ class CrosswiseMixedLayer(CrosswiseLayer):
         if input_grad:
             # Transpose of the mixing stage: unscale, unpermute (into every slot),
             # FWHT (symmetric), then sign-flip only the coordinates that are kept.
-            # The scatter fills the transpose of an (n, rows) buffer, the FWHT's
-            # own layout; the result is C-ordered, since a Fortran-ordered
-            # gradient makes the previous layer's row sums pairwise.
-            g_v = np.empty(grad_u.shape[::-1]).T
+            # The scatter fills the FWHT's own layout, which is transformed in
+            # place; the result is C-ordered, since a Fortran-ordered gradient
+            # makes the previous layer's row sums pairwise.
+            buf = np.empty((self.pad, *grad_u.shape[:-1]))
+            g_v = buf.transpose(*range(1, buf.ndim), 0)
             g_v[..., self.perm] = grad_u * self._scale
             g_x = np.multiply(self.signs[: self.spec.in_dim],
-                              fwht(g_v)[..., : self.spec.in_dim], order="C")
+                              fwht(g_v, out=g_v)[..., : self.spec.in_dim], order="C")
         return {"c": grad_c, "b": grad_b}, g_x
 
 
@@ -415,6 +424,10 @@ def train_network(net: Network, cfg: TrainConfig, data, threads: int = 1) -> lis
     Each mini-batch is one `(B, d)` forward and backward pass, and the step
     uses the mean of its rows' gradients.  `threads` is accepted for
     compatibility and has no effect; it must be at least 1.
+
+    A first `crosswise_mixed` layer's stage is fixed and nothing reads its
+    input gradient, so the stage runs once per call on all rows, and the
+    mini-batches step a plain crosswise layer sharing its weights.
     """
     if threads < 1:
         raise ParameterError(f"threads must be >= 1, got {threads}")
@@ -426,6 +439,13 @@ def train_network(net: Network, cfg: TrainConfig, data, threads: int = 1) -> lis
             f"dataset features have {data.features.shape[1]} columns, network expects {net.in_dim}"
         )
     targets = _targets_for(data, net.out_dim)
+    stepped, staged_t = net, None
+    first = net.layers[0]
+    if first.kind == "crosswise_mixed" and cfg.epochs > 0:
+        staged_t = first.stage(data.features).T
+        plain = CrosswiseLayer(replace(first.spec, kind="crosswise", in_dim=first.pad),
+                               first.weights)
+        stepped = Network(net.spec, [plain, *net.layers[1:]])
     history: list = []
     for epoch in range(1, cfg.epochs + 1):
         started = time.perf_counter()
@@ -433,16 +453,15 @@ def train_network(net: Network, cfg: TrainConfig, data, threads: int = 1) -> lis
         loss_sum = 0.0
         for start in range(0, n, cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
-            grads, batch_loss = _backward_with_loss(
-                net, data.features[batch], targets[batch], cfg.loss
-            )
+            x = data.features[batch] if staged_t is None else np.take(staged_t, batch, axis=1).T
+            grads, batch_loss = _backward_with_loss(stepped, x, targets[batch], cfg.loss)
             if not math.isfinite(batch_loss):
                 raise DivergenceError(f"non-finite loss at epoch {epoch}")
             scale = 1.0 / len(batch)
             for layer_grads in grads:
                 for g in layer_grads.values():
                     g *= scale
-            sgd_step(net, grads, cfg.learning_rate)
+            sgd_step(stepped, grads, cfg.learning_rate)
             loss_sum += batch_loss * len(batch)
         epoch_loss = loss_sum / n
         if not math.isfinite(epoch_loss):

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import crosswise.diagonal as diagonal
 from crosswise.diagonal import crosswise_backward, crosswise_forward, init_crosswise
+from crosswise.errors import ShapeError
 from crosswise.features import (
     apply_zhat,
     feature_map_apply,
@@ -153,6 +154,47 @@ def test_fwht_equals_radix2_butterflies_exactly(x):
     np.testing.assert_array_equal(x, kept)
     assert out.shape == x.shape
     np.testing.assert_array_equal(out, expected)
+
+
+def _fwht_layout(lead, n, dtype=np.float64):
+    """An uninitialized `(*lead, n)` array in fwht's working layout."""
+    return np.empty((n, *lead), dtype=dtype).transpose(*range(1, len(lead) + 1), 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10), st.integers(1, 5), st.integers(0, 2),
+       st.integers(0, 2**32 - 1))
+def test_fwht_out_is_transformed_in_place_bit_for_bit(log_n, batch, rank, seed):
+    n = 2**log_n
+    lead = ((), (batch,), (2, 3))[rank]
+    gen = np.random.default_rng(seed)
+    x = gen.standard_normal(lead + (n,)) * 10.0 ** gen.integers(-200, 201, lead + (n,))
+    kept = x.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = butterfly_fwht(x)
+        np.testing.assert_array_equal(fwht(x), expected)
+        # `out` is the input itself, already in the working layout.
+        v = _fwht_layout(lead, n)
+        v[...] = x
+        assert fwht(v, out=v) is v
+        np.testing.assert_array_equal(v, expected)
+        # `out` is a separate buffer; the input is left as it was.
+        out = _fwht_layout(lead, n)
+        assert fwht(x, out=out) is out
+    np.testing.assert_array_equal(out, expected)
+    np.testing.assert_array_equal(x, kept)
+
+    wrong = [_fwht_layout(lead, 2 * n), _fwht_layout(lead, n, np.float32), x.tolist()]
+    if x.size > 1:
+        # Every other float64 of a buffer: never contiguous, whatever the shape.
+        strided = np.empty((n, *lead, 2))[..., 0]
+        wrong.append(strided.transpose(*range(1, len(lead) + 1), 0))
+    if n > 1 and x.size > n:
+        wrong.append(np.empty(lead + (n,)))  # C order: rows are the outer axis
+    for bad in wrong:
+        with pytest.raises(ShapeError):
+            fwht(x, out=bad)
+    np.testing.assert_array_equal(x, kept)
 
 
 @settings(max_examples=30, deadline=None)

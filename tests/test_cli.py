@@ -100,6 +100,15 @@ def test_train_unwritable_output(tmp_path):
     assert result.returncode == 4
 
 
+def test_train_checks_output_paths_before_training(tmp_path):
+    cfg = base_config(tmp_path)
+    cfg["out"]["model"] = str(tmp_path / "missing_dir" / "model.json")
+    result = run_cli("train", "--config", write_config(tmp_path, cfg))
+    assert result.returncode == 4
+    assert "missing_dir" in result.stderr
+    assert not (tmp_path / "history.csv").exists()
+
+
 def test_train_csv_dataset_roundtrip(tmp_path):
     data_path = tmp_path / "data.csv"
     gen = run_cli("gen-data", "--kind", "blobs", "--seed", "1", "--per-class", "50",

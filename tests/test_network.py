@@ -231,7 +231,8 @@ def test_backward_skips_first_layer_input_gradient(kind, monkeypatch):
     assert g.shape == x.shape
 
     calls = []
-    monkeypatch.setattr(network, "fwht", lambda v: calls.append(v.shape) or fwht(v))
+    monkeypatch.setattr(network, "fwht",
+                        lambda v, **kw: calls.append(v.shape) or fwht(v, **kw))
     grads = network_backward(net, x, target, "cross_entropy")
     # One FWHT per mixed layer forward, and one for the second layer's input
     # gradient; none for the first layer's, which nothing reads.
@@ -266,6 +267,37 @@ def test_first_crosswise_layer_skips_input_gradient_product(monkeypatch):
     network_backward(net, x, np.eye(3)[[0, 2, 1, 2]], "cross_entropy")
     # Backprop runs from the last layer: the second call is the first layer's.
     assert returned[0][2] is not None and returned[1][2] is None
+
+
+@pytest.mark.parametrize("second, epochs, batch", [
+    ("crosswise_mixed", 3, 7), ("crosswise_mixed", 1, 15), ("dense", 2, 4),
+    ("crosswise_mixed", 0, 7), ("dense", 0, 4),
+])
+def test_train_stages_first_mixed_layer_once_per_call(second, epochs, batch, monkeypatch):
+    """The first layer's stage runs on the whole dataset once per call.
+
+    Per mini-batch, only a second mixed layer transforms: once forward and
+    once for its input gradient.  Each epoch's accuracy pass runs the full
+    network, one transform per mixed layer.
+    """
+    spec = NetworkSpec(layers=(
+        LayerSpec(kind="crosswise_mixed", in_dim=6, out_dim=8, activation="relu"),
+        LayerSpec(kind=second, in_dim=8, out_dim=3, activation="softmax_output"),
+    ), seed=33)
+    data = gen_blobs(seed=5, samples_per_class=10, dims=6, class_count=3, spread=0.3)
+    calls = []
+    monkeypatch.setattr(network, "fwht",
+                        lambda v, **kw: calls.append(v.shape) or fwht(v, **kw))
+    train_network(build_network(spec), TrainConfig(0.1, epochs, batch, "cross_entropy", 2), data)
+    batches = -(-30 // batch)
+    if epochs == 0:
+        assert calls == []
+    elif second == "crosswise_mixed":
+        assert len(calls) == 1 + epochs * (2 * batches + 2)
+    else:
+        assert len(calls) == 1 + epochs
+    if calls:
+        assert calls[0] == (30, 8)
 
 
 def test_crosswise_grad_equals_dense_twin_diagonal():

@@ -1,11 +1,13 @@
 """Seeded training runs keep their exact bytes.
 
-Each case trains a 64-wide net for 2 epochs on seeded blobs and pins the
-sha256 of its `model_to_json` output and its per-epoch losses (as float hex)
-and accuracies.  The values were recorded before the FWHT's working layout
-became rows-innermost; a change to a memory layout can move a row sum from
-sequential to pairwise or change the bits of a following BLAS product while
-every tolerance-based test still passes.
+Each case trains a net for 2 epochs on 300 seeded blobs as wide as its first
+layer and pins the sha256 of its `model_to_json` output and its per-epoch
+losses (as float hex) and accuracies.  The values of the 64-wide cases were
+recorded before the FWHT's working layout became rows-innermost, the others
+before training staged a first mixed layer once per call; a change to a
+memory layout can move a row sum from sequential to pairwise or change the
+bits of a following BLAS product while every tolerance-based test still
+passes.
 
 The dense products (BLAS) and `exp`/`log` round differently on other BLAS
 builds and SIMD targets.  A probe of those operations on fixed inputs runs
@@ -37,6 +39,10 @@ LAYERS = {
     "dense+mixed": (("dense", 64, 256), ("crosswise_mixed", 256, 4)),
     "crosswise+mixed": (("crosswise", 64, 256), ("crosswise_mixed", 256, 4)),
     "mixed(M<N)+dense": (("crosswise_mixed", 64, 16), ("dense", 16, 4)),
+    # A first layer of width 60 is zero-padded to 64 by its mixing stage.
+    "mixed(60)+dense": (("crosswise_mixed", 60, 256), ("dense", 256, 4)),
+    "mixed(60)+mixed": (("crosswise_mixed", 60, 256), ("crosswise_mixed", 256, 4)),
+    "mixed(60)": (("crosswise_mixed", 60, 4),),
 }
 
 # (layers, batch) -> (sha256 of the model JSON, [(loss hex, accuracy) per epoch])
@@ -82,6 +88,42 @@ PINNED = {
         "631cd1c273a5de71e7cbd7e64d3112983339c46e31233bb0d5dfd36869f32ce7",
         [("0x1.52446dc1af6f5p+0", 0.6066666666666667), ("0x1.d8dce2aa772e0p-1", 0.69)],
     ),
+    ("mixed(60)+dense", 32): (
+        "4e29b853d4376e139811943cdb995f639451da5089b86158471da718d0afacaa",
+        [("0x1.5b1c7fa760eb7p+0", 0.7633333333333333),
+         ("0x1.3149248c3d70fp+0", 0.9833333333333333)],
+    ),
+    ("mixed(60)+dense", 7): (
+        "bef7ae30ea768fd4e6c2eb4f9e7b9700482d742d620df038466be1f8426af970",
+        [("0x1.d8e764cf593b5p-1", 0.9966666666666667), ("0x1.96237c69f589dp-4", 1.0)],
+    ),
+    ("mixed(60)+mixed", 32): (
+        "ddfbba3e91b7bd03bd7e0a18fe51ac8fc1b9caf9fea170d3095c3cf671eb2279",
+        [("0x1.641e1aa761816p+0", 0.25), ("0x1.64221ef60d110p+0", 0.25)],
+    ),
+    ("mixed(60)+mixed", 7): (
+        "23761d9b527034a239b60ca1dd9c92532e8ebedc0055fbade5816474d8fa9ebe",
+        [("0x1.669f1423f5ca3p+0", 0.25), ("0x1.624c0dcea64d6p+0", 0.25333333333333335)],
+    ),
+    ("mixed(60)", 32): (
+        "0f8c60934b6e67161c56c75ed43059f0f0c14ed683d39e877ea7e98fb792c7cf",
+        [("0x1.5e20c03fb361cp+0", 0.4), ("0x1.4f6caa50396f0p+0", 0.3933333333333333)],
+    ),
+    # Batch 300 is the whole dataset, one mini-batch per epoch.
+    ("mixed(60)", 300): (
+        "bc9f949173afc62e14f5c064174d2621dd931dc497883fe1fb51f0b85be48445",
+        [("0x1.65d6cdf823bedp+0", 0.22333333333333333),
+         ("0x1.634966c0ab687p+0", 0.38333333333333336)],
+    ),
+    ("mixed+dense", 300): (
+        "ea702cedc65ff9065420a4d22816070ae21e7019df0013fd8109681084cfffb0",
+        [("0x1.6549c0a16e87dp+0", 0.19333333333333333),
+         ("0x1.635799cef6f59p+0", 0.38333333333333336)],
+    ),
+    ("mixed(60)+mixed", 300): (
+        "2b469c37fc968b39d26096c77ff968107b3d4aa8fae71619428fcbc1c24f764e",
+        [("0x1.62ecabe4f257ap+0", 0.23), ("0x1.62ea02ba2865ep+0", 0.22666666666666666)],
+    ),
 }
 
 
@@ -104,7 +146,8 @@ def test_seeded_training_keeps_model_bytes_and_history(layers, batch):
     specs = [LayerSpec(*layer, "relu") for layer in hidden]
     specs.append(LayerSpec(kind, in_dim, out_dim, "softmax_output"))
     net = build_network(NetworkSpec(layers=tuple(specs), seed=5))
-    data = gen_blobs(seed=11, samples_per_class=75, dims=64, class_count=4, spread=0.5)
+    dims = LAYERS[layers][0][1]
+    data = gen_blobs(seed=11, samples_per_class=75, dims=dims, class_count=4, spread=0.5)
     history = train_network(net, TrainConfig(0.5, 2, batch, "cross_entropy", 3), data)
     digest = hashlib.sha256(json.dumps(model_to_json(net)).encode()).hexdigest()
     expected_digest, expected_history = PINNED[layers, batch]
