@@ -82,7 +82,7 @@ def crosswise_forward(w: CrosswiseWeights, x: np.ndarray, activation: str = "rel
     _check_activation(activation)
     pre = _pre_activation(w, x)
     if activation == "relu":
-        return np.maximum(pre, 0.0)
+        np.maximum(pre, 0.0, out=pre)  # `pre` is a fresh array
     return pre
 
 

@@ -317,48 +317,53 @@ def _forward_with_caches(net: Network, x: np.ndarray):
     return out, caches
 
 
+def _shifted_exp(z: np.ndarray):
+    """(z minus its row max, the exp of that, and its row sums as a column)."""
+    shifted = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return shifted, e, e.sum(axis=-1, keepdims=True)
+
+
 def softmax(z: np.ndarray) -> np.ndarray:
     """Stabilized softmax of each row (of the vector, for 1-D input)."""
-    shifted = z - np.max(z, axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=-1, keepdims=True)
+    _, e, total = _shifted_exp(np.asarray(z))
+    return e / total
 
 
-def _check_one_hot(target: np.ndarray):
+def _checked_target(kind: str, target, shape: tuple):
+    """`target` as float64 and, for cross_entropy, each row's hot index; refuses an
+    unknown loss, a shape other than `shape` and cross_entropy rows not one-hot."""
+    if kind not in LOSS_KINDS:
+        raise ParameterError(f"loss must be one of {LOSS_KINDS}, got {kind!r}")
+    target = np.asarray(target, dtype=np.float64)
+    if target.shape != shape:
+        raise ShapeError(f"prediction length {shape} != target length {target.shape}")
+    if kind == "mse":
+        return target, None
     if not (((target == 0.0) | (target == 1.0)).all() and (target.sum(axis=-1) == 1.0).all()):
         raise ParameterError("cross_entropy target must be one-hot")
+    return target, target.argmax(axis=-1)
+
+
+def _loss_and_gradient(kind: str, prediction: np.ndarray, target: np.ndarray, labels):
+    """(mean loss over the rows, gradient of each row's own loss) for a checked
+    target; for cross_entropy, `labels` holds the hot index of each target row."""
+    if kind == "mse":
+        diff = prediction - target
+        return float((diff * diff).mean()), 2.0 * diff / prediction.shape[-1]
+    # -log softmax(prediction)[hot] with log-sum-exp stabilization, and its
+    # gradient softmax(prediction) - target, from one shift, exp and row sum.
+    shifted, e, total = _shifted_exp(prediction)
+    rows = shifted.reshape(-1, shifted.shape[-1])
+    hot = rows[np.arange(rows.shape[0]), np.reshape(labels, -1)]
+    return float((np.log(total).ravel() - hot).mean()), e / total - target
 
 
 def loss_eval(kind: str, prediction: np.ndarray, target: np.ndarray) -> float:
     """Loss of one prediction vector, or the mean loss over the rows of a batch."""
-    if kind not in LOSS_KINDS:
-        raise ParameterError(f"loss must be one of {LOSS_KINDS}, got {kind!r}")
     prediction = np.asarray(prediction, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    if prediction.shape != target.shape:
-        raise ShapeError(
-            f"prediction length {prediction.shape} != target length {target.shape}"
-        )
-    if kind == "mse":
-        diff = prediction - target
-        return float((diff * diff).mean())
-    _check_one_hot(target)
-    # -log softmax(prediction)[hot] with log-sum-exp stabilization.
-    shifted = prediction - prediction.max(axis=-1, keepdims=True)
-    log_norm = np.log(np.exp(shifted).sum(axis=-1))
-    rows = shifted.reshape(-1, shifted.shape[-1])
-    hot = rows[np.arange(rows.shape[0]), target.argmax(axis=-1).ravel()]
-    return float((log_norm - hot.reshape(log_norm.shape)).mean())
-
-
-def _loss_gradient(kind: str, prediction: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Gradient of each row's own loss with respect to that row's prediction.
-
-    The caller has already checked `target` through `loss_eval`.
-    """
-    if kind == "mse":
-        return 2.0 * (prediction - target) / prediction.shape[-1]
-    return softmax(prediction) - target
+    target, labels = _checked_target(kind, target, prediction.shape)
+    return _loss_and_gradient(kind, prediction, target, labels)[0]
 
 
 def network_backward(net: Network, x: np.ndarray, target: np.ndarray, loss_kind: str) -> list:
@@ -366,15 +371,14 @@ def network_backward(net: Network, x: np.ndarray, target: np.ndarray, loss_kind:
 
     For a `(B, d)` batch the gradients are those of the sum of the rows' losses.
     """
-    grads, _ = _backward_with_loss(net, x, target, loss_kind)
-    return grads
+    x = np.asarray(x, dtype=np.float64)
+    target, labels = _checked_target(loss_kind, target, (*x.shape[:-1], net.out_dim))
+    return _backward_with_loss(net, x, target, labels, loss_kind)[0]
 
 
-def _backward_with_loss(net: Network, x, target, loss_kind):
-    target = np.asarray(target, dtype=np.float64)
+def _backward_with_loss(net: Network, x, target, labels, loss_kind):
     prediction, caches = _forward_with_caches(net, x)
-    loss = loss_eval(loss_kind, prediction, target)
-    g = _loss_gradient(loss_kind, prediction, target)
+    loss, g = _loss_and_gradient(loss_kind, prediction, target, labels)
     grads: list = [None] * len(net.layers)
     for i in range(len(net.layers) - 1, -1, -1):
         cache, out = caches[i]
@@ -397,13 +401,16 @@ def sgd_step(net: Network, grads: list, learning_rate: float) -> Network:
     return net
 
 
-def _targets_for(data, out_dim: int) -> np.ndarray:
+def _targets_for(data, out_dim: int, loss: str) -> np.ndarray:
     if data.class_count > 0:
         if data.class_count != out_dim:
             raise ShapeError(
                 f"dataset has {data.class_count} classes but the network emits {out_dim}"
             )
         return np.eye(out_dim)[data.labels]
+    if loss == "cross_entropy":
+        raise ParameterError("cross_entropy needs a dataset with classes; "
+                             "this one has real-valued labels")
     if out_dim != 1:
         raise ShapeError(
             f"regression targets are scalar but the network emits {out_dim}"
@@ -411,23 +418,26 @@ def _targets_for(data, out_dim: int) -> np.ndarray:
     return data.labels.reshape(-1, 1)
 
 
-def _accuracy(net: Network, data) -> float:
+def _accuracy(net: Network, x: np.ndarray, data) -> float:
     if data.class_count == 0:
         return 0.0
-    predicted = np.argmax(network_forward(net, data.features), axis=-1)
+    predicted = np.argmax(network_forward(net, x), axis=-1)
     return float(np.mean(predicted == data.labels))
 
 
 def train_network(net: Network, cfg: TrainConfig, data, threads: int = 1) -> list:
     """Mutates net in place; returns the per-epoch history.
 
-    Each mini-batch is one `(B, d)` forward and backward pass, and the step
-    uses the mean of its rows' gradients.  `threads` is accepted for
-    compatibility and has no effect; it must be at least 1.
+    The targets are built and checked once per call (cross_entropy needs a
+    dataset with classes).  Each mini-batch is one `(B, d)` forward pass, one
+    fused loss and head gradient (one shift, `exp` and row sum) and one
+    backward pass; the step uses the mean of its rows' gradients.  `threads`
+    is accepted for compatibility and has no effect; it must be at least 1.
 
     A first `crosswise_mixed` layer's stage is fixed and nothing reads its
     input gradient, so the stage runs once per call on all rows, and the
-    mini-batches step a plain crosswise layer sharing its weights.
+    mini-batches and the accuracy passes run a plain crosswise layer sharing
+    its weights on the staged rows.
     """
     if threads < 1:
         raise ParameterError(f"threads must be >= 1, got {threads}")
@@ -438,11 +448,11 @@ def train_network(net: Network, cfg: TrainConfig, data, threads: int = 1) -> lis
         raise ShapeError(
             f"dataset features have {data.features.shape[1]} columns, network expects {net.in_dim}"
         )
-    targets = _targets_for(data, net.out_dim)
-    stepped, staged_t = net, None
+    targets = _targets_for(data, net.out_dim, cfg.loss)
+    stepped, rows = net, data.features
     first = net.layers[0]
     if first.kind == "crosswise_mixed" and cfg.epochs > 0:
-        staged_t = first.stage(data.features).T
+        rows = first.stage(data.features)
         plain = CrosswiseLayer(replace(first.spec, kind="crosswise", in_dim=first.pad),
                                first.weights)
         stepped = Network(net.spec, [plain, *net.layers[1:]])
@@ -453,8 +463,9 @@ def train_network(net: Network, cfg: TrainConfig, data, threads: int = 1) -> lis
         loss_sum = 0.0
         for start in range(0, n, cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
-            x = data.features[batch] if staged_t is None else np.take(staged_t, batch, axis=1).T
-            grads, batch_loss = _backward_with_loss(stepped, x, targets[batch], cfg.loss)
+            x = rows[batch] if stepped is net else np.take(rows.T, batch, axis=1).T
+            grads, batch_loss = _backward_with_loss(stepped, x, targets[batch],
+                                                    data.labels[batch], cfg.loss)
             if not math.isfinite(batch_loss):
                 raise DivergenceError(f"non-finite loss at epoch {epoch}")
             scale = 1.0 / len(batch)
@@ -470,7 +481,7 @@ def train_network(net: Network, cfg: TrainConfig, data, threads: int = 1) -> lis
             EpochRecord(
                 epoch=epoch,
                 train_loss=epoch_loss,
-                train_accuracy=_accuracy(net, data),
+                train_accuracy=_accuracy(stepped, rows, data),
                 wall_ms=(time.perf_counter() - started) * 1e3,
             )
         )

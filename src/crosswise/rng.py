@@ -157,8 +157,9 @@ class CounterRng:
     def permutation(self, n: int) -> np.ndarray:
         perm = list(range(n))
         if n > 1:
-            # Python ints: a swap in a list is far cheaper than in a NumPy array.
-            for i, w in zip(range(n - 1, 0, -1), self.words(n - 1).tolist()):
-                j = w % (i + 1)
+            # One array operation takes every modulus (i + 1); the swaps run on
+            # Python ints, since a swap in a list is far cheaper than in NumPy.
+            js = self.words(n - 1) % np.arange(n, 1, -1, dtype=np.uint64)
+            for i, j in zip(range(n - 1, 0, -1), js.tolist()):
                 perm[i], perm[j] = perm[j], perm[i]
         return np.array(perm, dtype=np.int64)

@@ -4,6 +4,8 @@ Everything here is deliberately naive — textbook formulas, explicit loops,
 O(n^2) transforms — and shares no code with the library's fast paths.
 """
 
+import math
+
 import numpy as np
 
 
@@ -133,6 +135,32 @@ def zhat_dense(block):
         np.diag(block.c_diag) @ h @ np.diag(block.g_diag) @ p @ h @ np.diag(block.b_signs)
     ) / (block.sigma * np.sqrt(n))
 
+
+def softmax_cross_entropy(logits, label):
+    """-log softmax(logits)[label] of one row and its gradient, by scalar loops
+    over Python floats: shift by the max, exp, sum, log."""
+    logits = [float(z) for z in logits]
+    top = max(logits)
+    total = 0.0
+    for z in logits:
+        total += math.exp(z - top)
+    loss = math.log(total) - (logits[label] - top)
+    grad = []
+    for j, z in enumerate(logits):
+        grad.append(math.exp(z - top) / total - (1.0 if j == label else 0.0))
+    return loss, grad
+
+
+def squared_error(prediction, target):
+    """Mean of (p - t)^2 over one row and its gradient 2 (p - t) / d, by scalar loops."""
+    d = len(prediction)
+    loss = 0.0
+    grad = []
+    for p, t in zip(prediction, target):
+        diff = float(p) - float(t)
+        loss += diff * diff
+        grad.append(2.0 * diff / d)
+    return loss / d, grad
 
 def central_difference(f, x, h=1e-5):
     """Central finite-difference gradient of a scalar function of a vector."""

@@ -162,6 +162,24 @@ def test_train_rejects_malformed_csv(tmp_path):
         assert "Traceback" not in result.stderr
 
 
+
+def test_train_refuses_cross_entropy_without_classes(tmp_path):
+    """Labels written as floats are regression targets; cross_entropy needs
+    classes, so the run is refused before training and writes no file."""
+    data_path = tmp_path / "data.csv"
+    data_path.write_text("f0,f1,label\n1.0,0.0,1.0\n0.5,0.5,1.0\n0.0,1.0,1.0\n")
+    cfg = base_config(tmp_path)
+    cfg["network"]["layers"] = [
+        {"kind": "dense", "in": 2, "out": 1, "activation": "softmax_output"},
+    ]
+    cfg["train"].update(batch=1)
+    cfg["data"] = {"kind": "csv", "path": str(data_path)}
+    result = run_cli("train", "--config", write_config(tmp_path, cfg))
+    assert result.returncode == 2, result.stderr
+    assert "cross_entropy needs a dataset with classes" in result.stderr
+    assert not (tmp_path / "history.csv").exists()
+    assert not (tmp_path / "model.json").exists()
+
 def test_bench_counts_and_report(tmp_path):
     out = tmp_path / "bench.csv"
     result = run_cli("bench", "--dims", "4x8", "--reps", "10", "--out", str(out))

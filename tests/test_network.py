@@ -277,8 +277,8 @@ def test_train_stages_first_mixed_layer_once_per_call(second, epochs, batch, mon
     """The first layer's stage runs on the whole dataset once per call.
 
     Per mini-batch, only a second mixed layer transforms: once forward and
-    once for its input gradient.  Each epoch's accuracy pass runs the full
-    network, one transform per mixed layer.
+    once for its input gradient.  Each epoch's accuracy pass runs on the
+    staged rows, so only a second mixed layer transforms there too.
     """
     spec = NetworkSpec(layers=(
         LayerSpec(kind="crosswise_mixed", in_dim=6, out_dim=8, activation="relu"),
@@ -293,9 +293,9 @@ def test_train_stages_first_mixed_layer_once_per_call(second, epochs, batch, mon
     if epochs == 0:
         assert calls == []
     elif second == "crosswise_mixed":
-        assert len(calls) == 1 + epochs * (2 * batches + 2)
+        assert len(calls) == 1 + epochs * (2 * batches + 1)
     else:
-        assert len(calls) == 1 + epochs
+        assert len(calls) == 1
     if calls:
         assert calls[0] == (30, 8)
 
@@ -437,6 +437,26 @@ def test_train_validates_dimensions():
     with pytest.raises(ParameterError):
         train(ok_spec, big_batch, small)
 
+
+
+@pytest.mark.parametrize("labels, epochs", [
+    ("varied", 1), ("varied", 0), ("all ones", 1), ("all ones", 0),
+])
+def test_train_refuses_cross_entropy_without_classes(labels, epochs):
+    """Refused before any work: with no epochs to run, and with labels of 1.0
+    that a one-output softmax would fit with a loss of 0."""
+    features = CounterRng(19).uniform(12, -1, 1).reshape(6, 2)
+    values = np.linspace(0.0, 1.0, 6) if labels == "varied" else np.ones(6)
+    data = Dataset(features=features, labels=values, class_count=0)
+    net = build_network(NetworkSpec(layers=(
+        LayerSpec(kind="crosswise_mixed", in_dim=2, out_dim=1, activation="softmax_output"),
+    ), seed=0))
+    c_before = net.layers[0].weights.c.copy()
+    cfg = TrainConfig(learning_rate=0.1, epochs=epochs, batch_size=2,
+                      loss="cross_entropy", seed=0)
+    with pytest.raises(ParameterError, match="cross_entropy needs a dataset with classes"):
+        train_network(net, cfg, data)
+    np.testing.assert_array_equal(net.layers[0].weights.c, c_before)
 
 def test_regression_training_with_mse():
     rng = CounterRng(17)

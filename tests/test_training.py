@@ -1,0 +1,172 @@
+"""The fused loss step against scalar oracles, and `train_network` against a
+reference loop written from public calls.
+
+`train_network` checks its targets once per call, computes each mini-batch's
+loss and head gradient in one fused step and stages a first mixed layer once;
+none of that may change a bit of what the plain loop below computes with
+`network_backward`, the batch mean, `sgd_step` and `network_forward`.
+"""
+
+import json
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from crosswise.datasets import Dataset, gen_blobs
+from crosswise.network import (
+    LAYER_KINDS,
+    DenseLayer,
+    LayerSpec,
+    Network,
+    NetworkSpec,
+    TrainConfig,
+    build_network,
+    loss_eval,
+    model_to_json,
+    network_backward,
+    network_forward,
+    sgd_step,
+    train_network,
+)
+from crosswise.rng import CounterRng
+
+from oracles import softmax_cross_entropy, squared_error
+
+# Loss and gradient entries agree with the oracles within REL of the larger of
+# 1 and the oracle value's magnitude (np.exp and math.exp may differ by an ulp,
+# and the row sums and the batch mean add in different orders).
+REL = 1e-12
+DIMS = (1, 2, 3, 4, 5, 8, 13, 16)
+RELATIONS = ("M<N", "M=N", "M>N")
+
+
+def _assert_close(actual, expected):
+    expected = np.asarray(expected, dtype=np.float64)
+    scale = max(1.0, float(np.max(np.abs(expected), initial=0.0)))
+    np.testing.assert_allclose(actual, expected, rtol=0.0, atol=REL * scale)
+
+
+@st.composite
+def _loss_case(draw):
+    kind = draw(st.sampled_from(("cross_entropy", "mse")))
+    batch = draw(st.sampled_from((1, 7, 32)))
+    classes = draw(st.integers(1, 8))
+    values = st.floats(-1e4, 1e4, allow_nan=False, allow_infinity=False)
+    logits = draw(arrays(np.float64, (batch, classes), elements=values))
+    labels = draw(st.lists(st.integers(0, classes - 1), min_size=batch, max_size=batch))
+    if kind == "cross_entropy":
+        target = np.eye(classes)[labels]
+    else:
+        target = draw(arrays(np.float64, (batch, classes), elements=values))
+    return kind, logits, labels, target
+
+
+@settings(max_examples=80, deadline=None)
+@given(_loss_case())
+def test_loss_and_head_gradient_match_scalar_oracles(case):
+    kind, logits, labels, target = case
+    batch, classes = logits.shape
+    rows = [softmax_cross_entropy(z, label) if kind == "cross_entropy" else squared_error(z, t)
+            for z, label, t in zip(logits, labels, target)]
+    expected_loss = math.fsum(loss for loss, _ in rows) / batch
+    _assert_close(loss_eval(kind, logits, target), expected_loss)
+    _assert_close(loss_eval(kind, logits[0], target[0]), rows[0][0])
+
+    # One identity dense layer with w = logits.T on the rows of the identity
+    # predicts the logits exactly, and its weight gradient is the transposed
+    # head gradient, one row per sample.
+    spec = LayerSpec(kind="dense", in_dim=batch, out_dim=classes, activation="identity")
+    net = Network(NetworkSpec(layers=(spec,), seed=0),
+                  [DenseLayer(spec, logits.T.copy(), np.zeros(classes))])
+    x = np.eye(batch)
+    np.testing.assert_array_equal(network_forward(net, x), logits)
+    head = network_backward(net, x, target, kind)[0]["w"].T
+    _assert_close(head, [grad for _, grad in rows])
+
+
+def _width(draw, n, relation):
+    if relation == "M<N":
+        return draw(st.integers(1, n - 1)) if n > 1 else 1
+    if relation == "M=N":
+        return n
+    return draw(st.sampled_from([d for d in DIMS if d > n] or [n + 1]))
+
+
+@st.composite
+def _training_case(draw):
+    loss = draw(st.sampled_from(("cross_entropy", "mse")))
+    classes = 0 if loss == "mse" and draw(st.booleans()) else draw(st.integers(1, 4))
+    depth = draw(st.integers(1, 3))
+    kinds = draw(st.lists(st.sampled_from(LAYER_KINDS), min_size=depth, max_size=depth))
+    if draw(st.booleans()):
+        kinds[0] = "crosswise_mixed"
+    widths = [draw(st.sampled_from(DIMS))]
+    for _ in range(depth - 1):
+        widths.append(_width(draw, widths[-1], draw(st.sampled_from(RELATIONS))))
+    widths.append(max(classes, 1))
+    seed = draw(st.integers(0, 2**32 - 1))
+    batch = draw(st.sampled_from((7, 1, "all")))
+    # 8 to 64 rows, a whole number per class; with batches of 7, the last
+    # batch is a partial one.
+    rows = draw(st.sampled_from([r for r in range(8, 65)
+                                 if r % max(classes, 1) == 0 and (batch != 7 or r % 7)]))
+    if classes:
+        data = gen_blobs(seed % 1000, rows // classes, widths[0], classes, 0.5)
+    else:
+        rng = CounterRng(seed, stream=7)
+        data = Dataset(features=rng.uniform(rows * widths[0], -1, 1).reshape(rows, widths[0]),
+                       labels=rng.uniform(rows, -1, 1), class_count=0)
+    batch = rows if batch == "all" else batch
+    layers = tuple(
+        LayerSpec(kind, widths[i], widths[i + 1],
+                  "relu" if i < depth - 1 else
+                  "softmax_output" if loss == "cross_entropy" else "identity")
+        for i, kind in enumerate(kinds)
+    )
+    cfg = TrainConfig(learning_rate=0.05, epochs=draw(st.integers(1, 2)), batch_size=batch,
+                      loss=loss, seed=seed)
+    return NetworkSpec(layers=layers, seed=seed), cfg, data
+
+
+def _reference_train(net, cfg, data):
+    """The training loop from public calls: (loss, accuracy) per epoch."""
+    if data.class_count:
+        targets = np.eye(net.out_dim)[data.labels]
+    else:
+        targets = data.labels.reshape(-1, 1)
+    n = data.features.shape[0]
+    history = []
+    for epoch in range(1, cfg.epochs + 1):
+        order = CounterRng(cfg.seed, stream=epoch).permutation(n)
+        loss_sum = 0.0
+        for start in range(0, n, cfg.batch_size):
+            batch = order[start : start + cfg.batch_size]
+            x, target = data.features[batch], targets[batch]
+            loss = loss_eval(cfg.loss, network_forward(net, x), target)
+            grads = network_backward(net, x, target, cfg.loss)
+            for layer_grads in grads:
+                for g in layer_grads.values():
+                    g *= 1.0 / len(batch)  # the batch mean
+            sgd_step(net, grads, cfg.learning_rate)
+            loss_sum += loss * len(batch)
+        accuracy = 0.0
+        if data.class_count:
+            predicted = np.argmax(network_forward(net, data.features), axis=-1)
+            accuracy = float(np.mean(predicted == data.labels))
+        history.append((loss_sum / n, accuracy))
+    return history
+
+
+@settings(max_examples=100, deadline=None)
+@given(_training_case())
+def test_train_network_equals_reference_loop(case):
+    spec, cfg, data = case
+    net = build_network(spec)
+    history = train_network(net, cfg, data)
+    reference = build_network(spec)
+    expected = _reference_train(reference, cfg, data)
+    assert [(r.train_loss, r.train_accuracy) for r in history] == expected
+    assert json.dumps(model_to_json(net)) == json.dumps(model_to_json(reference))
