@@ -425,6 +425,37 @@ def _accuracy(net: Network, x: np.ndarray, data) -> float:
     return float(np.mean(predicted == data.labels))
 
 
+def _stepped_network(net: Network, features: np.ndarray):
+    """(network, rows, staged): what `train_network` steps, and on which rows.
+
+    Walking back from the output, each diagonal layer keeps the outputs its
+    consumer reads, and a plain one only the inputs those need.  Dense layers,
+    mixing stages and a plain layer fed by a dense one keep their width.
+    """
+    layers, need = list(net.layers), net.out_dim
+    staged = layers[0].kind == "crosswise_mixed"
+    for i in range(len(layers) - 1, -1, -1):
+        layer = layers[i]
+        if i == 0 and staged:
+            features = layer.stage(features)
+            layer = CrosswiseLayer(replace(layer.spec, kind="crosswise", in_dim=layer.pad),
+                                   layer.weights)
+        if layer.kind != "dense":
+            n = layer.pad
+            if layer.kind == "crosswise" and (i == 0 or layers[i - 1].kind != "dense"):
+                # Two columns at least: NumPy sums the rows of a one-column
+                # operand pairwise, not one after another as in a wider one.
+                n = min(n, max(need, 2))
+            if (n, need) != (layer.pad, layer.spec.out_dim):
+                k = block_count(n, need)
+                w = CrosswiseWeights(n, need, k, layer.weights.c[: k * n], layer.weights.b[:need])
+                spec = replace(layer.spec, out_dim=need)
+                layer = (CrosswiseLayer(replace(spec, in_dim=n), w) if layer.kind == "crosswise"
+                         else CrosswiseMixedLayer(spec, w, layer.signs, layer.perm))
+        layers[i], need = layer, layer.spec.in_dim
+    return Network(net.spec, layers), features[:, :need], staged
+
+
 def train_network(net: Network, cfg: TrainConfig, data, threads: int = 1) -> list:
     """Mutates net in place; returns the per-epoch history.
 
@@ -435,9 +466,12 @@ def train_network(net: Network, cfg: TrainConfig, data, threads: int = 1) -> lis
     is accepted for compatibility and has no effect; it must be at least 1.
 
     A first `crosswise_mixed` layer's stage is fixed and nothing reads its
-    input gradient, so the stage runs once per call on all rows, and the
-    mini-batches and the accuracy passes run a plain crosswise layer sharing
-    its weights on the staged rows.
+    input gradient, so the stage runs once per call on all rows, and a plain
+    crosswise layer sharing its weights steps on the staged rows.  A plain
+    N->M layer with M < N reads only its first M inputs, so the units behind
+    the other N - M are dead: their coefficients get zero gradients only.  The
+    mini-batches and accuracy passes compute only the live units, in layers
+    built on prefix views of the same parameters, so the bits are unchanged.
     """
     if threads < 1:
         raise ParameterError(f"threads must be >= 1, got {threads}")
@@ -449,13 +483,9 @@ def train_network(net: Network, cfg: TrainConfig, data, threads: int = 1) -> lis
             f"dataset features have {data.features.shape[1]} columns, network expects {net.in_dim}"
         )
     targets = _targets_for(data, net.out_dim, cfg.loss)
-    stepped, rows = net, data.features
-    first = net.layers[0]
-    if first.kind == "crosswise_mixed" and cfg.epochs > 0:
-        rows = first.stage(data.features)
-        plain = CrosswiseLayer(replace(first.spec, kind="crosswise", in_dim=first.pad),
-                               first.weights)
-        stepped = Network(net.spec, [plain, *net.layers[1:]])
+    if cfg.epochs == 0:
+        return []
+    stepped, rows, staged = _stepped_network(net, data.features)
     history: list = []
     for epoch in range(1, cfg.epochs + 1):
         started = time.perf_counter()
@@ -463,7 +493,7 @@ def train_network(net: Network, cfg: TrainConfig, data, threads: int = 1) -> lis
         loss_sum = 0.0
         for start in range(0, n, cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
-            x = rows[batch] if stepped is net else np.take(rows.T, batch, axis=1).T
+            x = np.take(rows.T, batch, axis=1).T if staged else rows[batch]
             grads, batch_loss = _backward_with_loss(stepped, x, targets[batch],
                                                     data.labels[batch], cfg.loss)
             if not math.isfinite(batch_loss):

@@ -300,6 +300,37 @@ def test_train_stages_first_mixed_layer_once_per_call(second, epochs, batch, mon
         assert calls[0] == (30, 8)
 
 
+def test_train_steps_only_the_live_units(monkeypatch):
+    """A plain 64->256->4 net reads only 4 of its hidden units, and those read
+    only 4 inputs: no diagonal product in the mini-batches or the accuracy
+    pass is wider than 4 columns, and the dead parameters keep their bits.
+    """
+    spec = NetworkSpec(layers=(
+        LayerSpec(kind="crosswise", in_dim=64, out_dim=256, activation="relu"),
+        LayerSpec(kind="crosswise", in_dim=256, out_dim=4, activation="softmax_output"),
+    ), seed=34)
+    net = build_network(spec)
+    before = [{name: p.copy() for name, p in layer.params().items()} for layer in net.layers]
+    widths = []
+    for name in ("crosswise_forward", "crosswise_backward"):
+        def recording(w, x, *args, original=getattr(network, name), **kwargs):
+            widths.append((w.c.size, x.shape[-1]))
+            return original(w, x, *args, **kwargs)
+        monkeypatch.setattr(network, name, recording)
+    data = gen_blobs(seed=6, samples_per_class=25, dims=64, class_count=4, spread=0.5)
+    train_network(net, TrainConfig(0.5, 1, 32, "cross_entropy", 3), data)
+    # 4 batches, forward and backward through 2 layers, and the accuracy pass.
+    assert len(widths) == 4 * 2 * 2 + 2
+    assert max(max(pair) for pair in widths) <= 4
+    first, second = net.layers
+    assert first.weights.c[4:].tobytes() == before[0]["c"][4:].tobytes()
+    assert first.weights.b[4:].tobytes() == before[0]["b"][4:].tobytes()
+    assert second.weights.c[4:].tobytes() == before[1]["c"][4:].tobytes()
+    # The live ones were stepped, in the model's own arrays.
+    assert not np.array_equal(first.weights.c[:4], before[0]["c"][:4])
+    assert not np.array_equal(second.weights.c[:4], before[1]["c"][:4])
+
+
 def test_crosswise_grad_equals_dense_twin_diagonal():
     seed = 5
     spec = NetworkSpec(layers=(

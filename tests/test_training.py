@@ -2,9 +2,10 @@
 reference loop written from public calls.
 
 `train_network` checks its targets once per call, computes each mini-batch's
-loss and head gradient in one fused step and stages a first mixed layer once;
-none of that may change a bit of what the plain loop below computes with
-`network_backward`, the batch mean, `sgd_step` and `network_forward`.
+loss and head gradient in one fused step, stages a first mixed layer once and
+skips the units that nothing reads; none of that may change a bit of what the
+plain loop below computes with `network_backward`, the batch mean, `sgd_step`
+and `network_forward`.
 """
 
 import json
@@ -103,10 +104,17 @@ def _training_case(draw):
     kinds = draw(st.lists(st.sampled_from(LAYER_KINDS), min_size=depth, max_size=depth))
     if draw(st.booleans()):
         kinds[0] = "crosswise_mixed"
+    out = max(classes, 1)
     widths = [draw(st.sampled_from(DIMS))]
     for _ in range(depth - 1):
         widths.append(_width(draw, widths[-1], draw(st.sampled_from(RELATIONS))))
-    widths.append(max(classes, 1))
+    # Half the time the last layer is plain with M < N, so that training
+    # skips the units behind its unread inputs.
+    if draw(st.booleans()):
+        kinds[-1] = "crosswise"
+        if widths[-1] <= out:
+            widths[-1] = draw(st.sampled_from([d for d in DIMS if d > out]))
+    widths.append(out)
     seed = draw(st.integers(0, 2**32 - 1))
     batch = draw(st.sampled_from((7, 1, "all")))
     # 8 to 64 rows, a whole number per class; with batches of 7, the last
@@ -160,13 +168,29 @@ def _reference_train(net, cfg, data):
     return history
 
 
-@settings(max_examples=100, deadline=None)
-@given(_training_case())
-def test_train_network_equals_reference_loop(case):
-    spec, cfg, data = case
+def _assert_equals_reference_loop(spec, cfg, data):
     net = build_network(spec)
     history = train_network(net, cfg, data)
     reference = build_network(spec)
     expected = _reference_train(reference, cfg, data)
     assert [(r.train_loss, r.train_accuracy) for r in history] == expected
     assert json.dumps(model_to_json(net)) == json.dumps(model_to_json(reference))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_training_case())
+def test_train_network_equals_reference_loop(case):
+    _assert_equals_reference_loop(*case)
+
+
+def test_train_network_equals_reference_loop_with_one_live_unit():
+    """A plain 8->3->1 regression net reads one hidden unit and one input.
+    NumPy sums a one-column operand's rows pairwise, so a single live column
+    over 40 rows would round differently from the same column of the full net.
+    """
+    spec = NetworkSpec(layers=(LayerSpec("crosswise", 8, 3),
+                               LayerSpec("crosswise", 3, 1, "identity")), seed=13)
+    rng = CounterRng(13, stream=7)
+    data = Dataset(features=rng.uniform(40 * 8, -1, 1).reshape(40, 8),
+                   labels=rng.uniform(40, -1, 1), class_count=0)
+    _assert_equals_reference_loop(spec, TrainConfig(0.05, 2, 40, "mse", 13), data)
