@@ -158,12 +158,16 @@ def _write_history_csv(history, path):
                      f"{repr(rec.train_accuracy)},{repr(rec.wall_ms)}\n")
 
 
-def cmd_train(args) -> int:
-    net_spec, train_cfg, data_doc, out_doc = load_config(args.config)
-    for path in (out_doc["history"], out_doc["model"]):  # exit 4 before any work
+def _check_writable(*paths) -> None:  # exit 4 before any work
+    for path in paths:
         directory = os.path.dirname(path) or "."
         if not (os.path.isdir(directory) and os.access(directory, os.W_OK)):
             raise OSError(f"cannot write {path}: {directory} is missing or not writable")
+
+
+def cmd_train(args) -> int:
+    net_spec, train_cfg, data_doc, out_doc = load_config(args.config)
+    _check_writable(out_doc["history"], out_doc["model"])
     data = build_dataset(data_doc)
     net = build_network(net_spec)
     history = train_network(net, train_cfg, data, threads=args.threads)
@@ -385,6 +389,8 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors and 0 for --help.
         return int(exc.code or 0)
     try:
+        if "out" in args:  # every command but train, whose outputs are in its config
+            _check_writable(args.out)
         return _HANDLERS[args.command](args)
     except (ConfigError, ParameterError, ShapeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,6 +16,7 @@ approximation error.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -128,8 +129,13 @@ class McKernelBlock:
             raise ParameterError("perm must be a permutation of 0..n-1")
 
 
-# Box-Muller pairs per chunk of the streamed chi(n) draw (rounded to whole rows).
+# Box-Muller pairs in flight in the chi(n) draw, split in whole rows across its workers.
 _CHI_CHUNK_PAIRS = 2 ** 15
+
+
+def _sample_workers() -> int:
+    """The CPUs this process may run on: the chi(n) draw's pool size, before capping."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def sample_block(seed: int, d: int, sigma: float) -> McKernelBlock:
@@ -138,8 +144,8 @@ def sample_block(seed: int, d: int, sigma: float) -> McKernelBlock:
     Draw order on (seed, stream 0): n sign flips, the permutation, n Gaussian
     scalings, then n*n normals whose row norms, as an n x n matrix, give the
     chi(n)-distributed scale factors; the scale factors are divided by the
-    norm of the Gaussian scaling vector.  The n*n normals are streamed in
-    chunks of whole rows, so memory stays O(n + chunk), not O(n^2).
+    norm of the Gaussian scaling vector.  The n*n normals are drawn in chunks of
+    whole rows on a thread pool: O(n + chunk) memory, and no bit depends on the pool.
     """
     if d < 1:
         raise ParameterError(f"input dimension must be >= 1, got {d}")
@@ -154,12 +160,22 @@ def sample_block(seed: int, d: int, sigma: float) -> McKernelBlock:
     # row n/2 + i the sin branch of the same pairs.  At n = 1 the one row is
     # the cos branch of the one pair; its sin branch lands in norms[1], unused.
     pairs = (n * n + 1) // 2
-    norms = np.empty(2 * pairs // n)
-    for start, cos_part, sin_part in rng.normal_pairs(n * n, max(n, _CHI_CHUNK_PAIRS // n * n)):
-        for offset, part in ((start, cos_part), (pairs + start, sin_part)):
-            norms[offset // n : (offset + part.size) // n] = np.linalg.norm(
-                part.reshape(-1, n), axis=1
-            )
+    draw, rows = rng.normal_pairs(n * n), max(1, _CHI_CHUNK_PAIRS // n)
+    workers = min(_sample_workers(), -(-pairs // (rows * n)))
+    size, norms = max(1, rows // workers) * n, np.empty(2 * pairs // n)
+
+    def fill_norms(first):  # the chunks first, first + workers, ...
+        for start in range(first * size, pairs, workers * size):
+            for offset, part in zip((start, pairs + start), draw(start, min(size, pairs - start))):
+                norms[offset // n : (offset + part.size) // n] = np.linalg.norm(
+                    part.reshape(-1, n), axis=1)
+
+    # This thread and workers - 1 helpers (none for one) run in parallel: ufuncs release the GIL.
+    from concurrent.futures import ThreadPoolExecutor  # not paid by `import crosswise`
+    with ThreadPoolExecutor(max(1, workers - 1)) as pool:
+        helpers = pool.map(fill_norms, range(1, workers))
+        fill_norms(0)
+        list(helpers)
     c_diag = norms[:n] / np.linalg.norm(g_diag)
     return McKernelBlock(n=n, sigma=sigma, b_signs=b_signs, perm=perm,
                          g_diag=g_diag, c_diag=c_diag, seed=seed)

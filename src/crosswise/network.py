@@ -446,6 +446,10 @@ def _stepped_network(net: Network, features: np.ndarray):
                 # Two columns at least: NumPy sums the rows of a one-column
                 # operand pairwise, not one after another as in a wider one.
                 n = min(n, max(need, 2))
+                # A producer whose input gradient is read keeps its k blocks:
+                # NumPy sums 8 or more of them pairwise, so fewer round differently.
+                if i > 1 and block_count(layers[i - 1].pad, n) != layers[i - 1].weights.k:
+                    n = layer.pad
             if (n, need) != (layer.pad, layer.spec.out_dim):
                 k = block_count(n, need)
                 w = CrosswiseWeights(n, need, k, layer.weights.c[: k * n], layer.weights.b[:need])

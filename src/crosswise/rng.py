@@ -36,7 +36,7 @@ words()/uniform()/normal() calls of the same sizes.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Callable
 
 import numpy as np
 
@@ -119,30 +119,24 @@ class CounterRng:
         w = self.words(2 * half)
         return np.concatenate(_box_muller(w[:half], w[half:]))[:count]
 
-    def normal_pairs(self, count: int, chunk: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-        """The Box-Muller pairs of normal(count), `chunk` pairs at a time.
+    def normal_pairs(self, count: int) -> Callable[[int, int], tuple[np.ndarray, np.ndarray]]:
+        """Move past the words of normal(count); return draw(start, size) of its pairs.
 
-        Yields (first pair index, cos part, sin part) for consecutive pair ranges;
-        normal(count) is all cos parts, then all sin parts, truncated to count.
-        The cursor moves at once past the same 2*ceil(count/2) words as
-        normal(count); the pairs are drawn, as they are yielded, from two cursors
-        on this stream at the u1 and the u2 offsets, so only one chunk of words
-        and normals is held at a time.
+        draw gives the (cos part, sin part) of Box-Muller pairs [start, start + size)
+        from two fresh cursors, a pure function of this cursor's position, count, start
+        and size; normal(count) is all cos parts, then all sin parts, truncated to count.
         """
-        if chunk < 1:
-            raise ValueError(f"chunk must be >= 1, got {chunk}")
         half = (count + 1) // 2
-        first = CounterRng(self.seed, self.stream)
-        second = CounterRng(self.seed, self.stream)
-        first._counter, second._counter = self._counter, self._counter + half
-        self._counter += 2 * half
+        base, self._counter = self._counter, self._counter + 2 * half
 
-        def pairs():
-            for start in range(0, half, chunk):
-                size = min(chunk, half - start)
-                yield (start, *_box_muller(first.words(size), second.words(size)))
+        def draw(start: int, size: int) -> tuple[np.ndarray, np.ndarray]:
+            if not 0 <= start <= start + size <= half:
+                raise ValueError(f"pairs [{start}, {start + size}) outside [0, {half})")
+            first, second = CounterRng(self.seed, self.stream), CounterRng(self.seed, self.stream)
+            first._counter, second._counter = base + start, base + half + start
+            return _box_muller(first.words(size), second.words(size))
 
-        return pairs()
+        return draw
 
     def rademacher(self, count: int) -> np.ndarray:
         return np.where(self.words(count) & np.uint64(1), 1.0, -1.0)

@@ -109,6 +109,29 @@ def test_train_checks_output_paths_before_training(tmp_path):
     assert not (tmp_path / "history.csv").exists()
 
 
+# (command line, the library call that does the command's work)
+EARLY_OUTPUT_CHECKS = {
+    "bench": (["bench", "--dims", "1024x1024"], "build_network"),
+    "kernel-check": (["kernel-check", "--d", "1024", "--blocks", "1,64"], "sample_feature_map"),
+    "algebra-check": (["algebra-check"], "verify_identities"),
+    "gen-data": (["gen-data", "--kind", "xor"], "gen_xor"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(EARLY_OUTPUT_CHECKS))
+def test_output_path_checked_before_work(tmp_path, monkeypatch, capsys, command):
+    """A missing --out directory exits 4 before any work, and creates no file."""
+    argv, work = EARLY_OUTPUT_CHECKS[command]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{command} did its work before checking --out")
+
+    monkeypatch.setattr(cli, work, refuse)
+    assert cli.main([*argv, "--out", str(tmp_path / "missing_dir" / "out.csv")]) == 4
+    assert "missing_dir" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_train_csv_dataset_roundtrip(tmp_path):
     data_path = tmp_path / "data.csv"
     gen = run_cli("gen-data", "--kind", "blobs", "--seed", "1", "--per-class", "50",

@@ -1,8 +1,13 @@
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from crosswise import features
 from crosswise.errors import ParameterError, ShapeError
 from crosswise.features import (
     FeatureMap,
@@ -87,6 +92,64 @@ def test_sample_block_matches_dense_oracle(n):
                                  expected):
                 assert got.dtype == want.dtype
                 np.testing.assert_array_equal(got, want)
+
+
+def _assert_block_is_oracle(seed, d, workers, chunk_pairs):
+    """sample_block with `workers` CPUs and a `chunk_pairs` budget equals the oracle."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(features, "_sample_workers", lambda: workers)
+        mp.setattr(features, "_CHI_CHUNK_PAIRS", chunk_pairs)
+        block = sample_block(seed, d, 1.0)
+    for got, want in zip((block.b_signs, block.perm, block.g_diag, block.c_diag),
+                         dense_sample_block(seed, d)):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+
+# (n, chunk budget): n = 1 and n = 2; a draw of exactly one chunk (n*n/2 pairs
+# = 2^15); a row larger than a worker's share (64 pairs against 100 / workers,
+# and against the whole budget); an uneven split of many chunks.
+POOL_CASES = [(1, 2 ** 15), (2, 2 ** 15), (256, 2 ** 15), (64, 100), (128, 100),
+              (1024, 2 ** 15), (16, 70)]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("n, chunk_pairs", POOL_CASES)
+def test_sample_block_pool_matches_dense_oracle(n, chunk_pairs, workers):
+    """The chi(n) scales are the oracle's bit for bit, whatever the worker count."""
+    for seed in (0, 2 ** 64 - 1):
+        _assert_block_is_oracle(seed, n, workers, chunk_pairs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 7), st.integers(1, 3), st.integers(1, 2 ** 13), st.integers(0, 2 ** 64 - 1))
+def test_sample_block_pool_property(log_n, workers, chunk_pairs, seed):
+    _assert_block_is_oracle(seed, 2 ** log_n, workers, chunk_pairs)
+
+
+def test_sample_block_pool_under_fast_thread_switches():
+    """More workers than cores, many small chunks and a GIL switch every
+    microsecond: the workers' writes to their own rows still give the oracle."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for seed in range(3):
+            _assert_block_is_oracle(seed, 256, 4 * features._sample_workers(), 256)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_sample_block_one_chunk_starts_no_thread(monkeypatch):
+    """A draw that fits in one chunk runs inline; a larger one starts the pool."""
+    def refuse(thread):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(features, "_sample_workers", lambda: 2)
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    for d in (1, 2, 100, 256):  # n*n/2 <= 2^15 pairs
+        sample_block(0, d, 1.0)
+    with pytest.raises(AssertionError, match="thread was started"):
+        sample_block(0, 512, 1.0)
 
 
 # Frozen c_diag entries [0, 1, n/2, n-1].  The tolerance only absorbs the last

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crosswise.rng import CounterRng, derive_seed, mix64, word_at
 
@@ -119,33 +121,55 @@ def test_permutation_matches_scalar_fisher_yates(n):
         assert CounterRng(seed, stream).permutation(n).tolist() == fisher_yates(seed, stream, n)
 
 
+def _ranged_normal(draw, count, cuts):
+    """normal(count) assembled from the draws of the pair ranges between `cuts`,
+    drawn last range first."""
+    half = (count + 1) // 2
+    bounds = sorted({0, half, *(c for c in cuts if c <= half)})
+    ranges = list(zip(bounds, bounds[1:]))
+    parts = {start: draw(start, stop - start) for start, stop in reversed(ranges)}
+    cos_parts = [parts[start][0] for start, _ in ranges]
+    sin_parts = [parts[start][1] for start, _ in ranges]
+    return np.concatenate(cos_parts + sin_parts)[:count] if count else np.empty(0)
+
+
 @pytest.mark.parametrize("count", [0, 1, 2, 5, 8, 101, 4096])
 @pytest.mark.parametrize("chunk", [1, 3, 64, 1 << 15])
 def test_normal_pairs_stream_normal(count, chunk):
-    """Cos parts then sin parts, truncated, are normal(count), and the cursor
-    continues after the draw exactly where normal(count) leaves it."""
-    streamed = CounterRng(21, stream=3)
+    """Cos parts then sin parts of `chunk`-pair ranges, drawn in any order, are
+    normal(count), and the cursor continues after the draw exactly where
+    normal(count) leaves it."""
+    ranged = CounterRng(21, stream=3)
     direct = CounterRng(21, stream=3)
-    streamed.words(7)
+    ranged.words(7)
     direct.words(7)
-    starts, cos_parts, sin_parts = [], [], []
-    for start, cos_part, sin_part in streamed.normal_pairs(count, chunk):
-        starts.append(start)
-        cos_parts.append(cos_part)
-        sin_parts.append(sin_part)
-    assert starts == list(range(0, (count + 1) // 2, chunk))
-    got = np.concatenate(cos_parts + sin_parts)[:count] if count else np.empty(0)
+    draw = ranged.normal_pairs(count)
+    got = _ranged_normal(draw, count, range(0, (count + 1) // 2, chunk))
     np.testing.assert_array_equal(got, direct.normal(count))
-    np.testing.assert_array_equal(streamed.words(5), direct.words(5))
+    np.testing.assert_array_equal(ranged.words(5), direct.words(5))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 300), st.lists(st.integers(0, 150), max_size=8))
+def test_normal_pairs_any_split(count, cuts):
+    """Ranges of any split, drawn after the cursor has moved on, are normal(count)."""
+    rng = CounterRng(5, stream=1)
+    draw = rng.normal_pairs(count)
+    rng.normal(9)
+    np.testing.assert_array_equal(_ranged_normal(draw, count, cuts), CounterRng(5, 1).normal(count))
 
 
 def test_normal_pairs_moves_cursor_before_iteration():
+    """The cursor moves past 2*ceil(count/2) words when the draw is made, before
+    any range is drawn; a range outside the pairs is refused."""
     rng = CounterRng(4)
-    pairs = rng.normal_pairs(10, 2)
+    draw = rng.normal_pairs(11)
     after = rng.words(3)
     expected = CounterRng(4)
-    expected.normal(10)
-    np.testing.assert_array_equal(after, expected.words(3))
-    assert len(list(pairs)) == 3
-    with pytest.raises(ValueError):
-        rng.normal_pairs(10, 0)
+    assert expected.words(2 * 6 + 3)[-3:].tolist() == after.tolist()
+    cos_part, sin_part = draw(0, 6)
+    np.testing.assert_array_equal(np.concatenate([cos_part, sin_part])[:11],
+                                  CounterRng(4).normal(11))
+    for start, size in ((0, 7), (6, 1), (-1, 1), (2, -1)):
+        with pytest.raises(ValueError):
+            draw(start, size)

@@ -194,3 +194,16 @@ def test_train_network_equals_reference_loop_with_one_live_unit():
     data = Dataset(features=rng.uniform(40 * 8, -1, 1).reshape(40, 8),
                    labels=rng.uniform(40, -1, 1), class_count=0)
     _assert_equals_reference_loop(spec, TrainConfig(0.05, 2, 40, "mse", 13), data)
+
+
+def test_train_network_equals_reference_loop_behind_a_wide_producer():
+    """The plain 16->4 head reads 4 of the mixed 1->16 layer's outputs, whose
+    input gradient a dense layer reads.  That gradient sums the mixed layer's
+    16 blocks, and NumPy sums 8 or more terms pairwise, so a 4-block layer
+    would round differently: the producer keeps its blocks."""
+    spec = NetworkSpec(layers=(LayerSpec("dense", 1, 1), LayerSpec("crosswise_mixed", 1, 16),
+                               LayerSpec("crosswise", 16, 4, "softmax_output")), seed=3)
+    features = np.array([[-2.53464189], [-3.90830664], [-3.07489267], [-3.37620497],
+                         [3.71995688], [2.62811715], [-2.85281874], [-3.62497634]])
+    data = Dataset(features=features, labels=np.array([0, 0, 1, 1, 2, 2, 3, 3]), class_count=4)
+    _assert_equals_reference_loop(spec, TrainConfig(0.05, 1, 7, "cross_entropy", 3), data)
