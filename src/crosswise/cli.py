@@ -16,7 +16,7 @@ import time
 
 import numpy as np
 
-from .datasets import Dataset, gen_blobs, gen_xor, load_csv, save_csv
+from .datasets import Dataset, gen_blobs, gen_xor, load_csv, save_csv, write_csv
 from .errors import (
     ConfigError,
     DivergenceError,
@@ -41,15 +41,60 @@ from .network import (
 from .products import verify_identities
 from .rng import CounterRng, derive_seed
 
-_BLOB_KEYS = {"kind", "seed", "samples_per_class", "dims", "classes", "spread"}
-_XOR_KEYS = {"kind", "seed", "samples", "noise"}
-_CSV_KEYS = {"kind", "path"}
 
-
-def _as_real(value, context: str) -> float:
+def _real(value, context: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{context} must be a number, got {value!r}")
     return float(value)
+
+
+def _path(value, context: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{context} must be a path string, got {value!r}")
+    return value
+
+
+def _layers(value, context: str) -> tuple:
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{context} must be a non-empty list")
+    return tuple(_build(LayerSpec, entry, _LAYER_FIELDS, f"{context}[{i}]")
+                 for i, entry in enumerate(value))
+
+
+# One table per config section: each key and the check that returns its value,
+# in the order of the parameters the section is built with.  None takes the
+# value as it is: a choice of names that the built object checks itself.
+_CONFIG_FIELDS = {"version": expect_int, "network": None, "train": None, "data": None,
+                  "out": None}
+_NETWORK_FIELDS = {"layers": _layers, "seed": expect_int}
+_LAYER_FIELDS = {"kind": None, "in": expect_int, "out": expect_int, "activation": None}
+_TRAIN_FIELDS = {"lr": _real, "epochs": expect_int, "batch": expect_int, "loss": None,
+                 "seed": expect_int}
+_OUT_FIELDS = {"history": _path, "model": _path}
+# data.kind -> (the dataset builder, the table of its other keys)
+_DATA_KINDS = {
+    "blobs": (gen_blobs, {"seed": expect_int, "samples_per_class": expect_int,
+                          "dims": expect_int, "classes": expect_int, "spread": _real}),
+    "xor": (gen_xor, {"seed": expect_int, "samples": expect_int, "noise": _real}),
+    "csv": (load_csv, {"path": _path}),
+}
+
+
+def _fields(doc, table: dict, context: str, also=frozenset()) -> list:
+    """`doc`'s values in `table` order, each through its check; a missing key or
+    one in neither `table` nor `also` is refused."""
+    _expect_keys(doc, table.keys() | also, context)
+    return [doc[key] if check is None else check(doc[key], f"{context}.{key}")
+            for key, check in table.items()]
+
+
+def _build(make, doc, table: dict, context: str, also=frozenset()):
+    """`make(*fields)`; its ParameterError or ShapeError becomes a ConfigError."""
+    fields = _fields(doc, table, context, also)
+    try:
+        return make(*fields)
+    except (ParameterError, ShapeError) as exc:
+        raise ConfigError(f"{context}: {exc}") from exc
 
 
 def load_config(path):
@@ -65,102 +110,37 @@ def load_config(path):
 
 
 def parse_config(doc: dict):
-    _expect_keys(doc, {"version", "network", "train", "data", "out"}, "config")
-    if doc["version"] != 1:
-        raise ConfigError(f"config version must be 1, got {doc['version']!r}")
-
-    net_doc = doc["network"]
-    _expect_keys(net_doc, {"layers", "seed"}, "config.network")
-    if not isinstance(net_doc["layers"], list) or not net_doc["layers"]:
-        raise ConfigError("config.network.layers must be a non-empty list")
-    layer_specs = []
-    for i, entry in enumerate(net_doc["layers"]):
-        ctx = f"config.network.layers[{i}]"
-        _expect_keys(entry, {"kind", "in", "out", "activation"}, ctx)
-        try:
-            layer_specs.append(LayerSpec(
-                kind=entry["kind"],
-                in_dim=expect_int(entry["in"], f"{ctx}.in"),
-                out_dim=expect_int(entry["out"], f"{ctx}.out"),
-                activation=entry["activation"],
-            ))
-        except ParameterError as exc:
-            raise ConfigError(f"{ctx}: {exc}") from exc
-    try:
-        net_spec = NetworkSpec(layers=tuple(layer_specs),
-                               seed=expect_int(net_doc["seed"], "config.network.seed"))
-    except (ParameterError, ShapeError) as exc:
-        raise ConfigError(f"config.network: {exc}") from exc
-
-    train_doc = doc["train"]
-    _expect_keys(train_doc, {"lr", "epochs", "batch", "loss", "seed"}, "config.train")
-    try:
-        train_cfg = TrainConfig(
-            learning_rate=_as_real(train_doc["lr"], "config.train.lr"),
-            epochs=expect_int(train_doc["epochs"], "config.train.epochs"),
-            batch_size=expect_int(train_doc["batch"], "config.train.batch"),
-            loss=train_doc["loss"],
-            seed=expect_int(train_doc["seed"], "config.train.seed"),
-        )
-    except ParameterError as exc:
-        raise ConfigError(f"config.train: {exc}") from exc
-
-    data_doc = doc["data"]
-    if not isinstance(data_doc, dict) or "kind" not in data_doc:
-        raise ConfigError("config.data must be an object with a 'kind' key")
-    kind = data_doc["kind"]
-    if kind == "blobs":
-        _expect_keys(data_doc, _BLOB_KEYS, "config.data")
-    elif kind == "xor":
-        _expect_keys(data_doc, _XOR_KEYS, "config.data")
-    elif kind == "csv":
-        _expect_keys(data_doc, _CSV_KEYS, "config.data")
-    else:
-        raise ConfigError(f"config.data.kind must be blobs, xor or csv, got {kind!r}")
-
-    out_doc = doc["out"]
-    _expect_keys(out_doc, {"history", "model"}, "config.out")
-    for key in ("history", "model"):
-        if not isinstance(out_doc[key], str):
-            raise ConfigError(f"config.out.{key} must be a path string")
-
+    """(NetworkSpec, TrainConfig, data, out) of a run config; `build_dataset` checks data."""
+    version, net_doc, train_doc, data_doc, out_doc = _fields(doc, _CONFIG_FIELDS, "config")
+    if version != 1:
+        raise ConfigError(f"config version must be 1, got {version!r}")
+    net_spec = _build(NetworkSpec, net_doc, _NETWORK_FIELDS, "config.network")
+    train_cfg = _build(TrainConfig, train_doc, _TRAIN_FIELDS, "config.train")
+    _, data_table = _data_kind(data_doc)
+    _expect_keys(data_doc, data_table.keys() | {"kind"}, "config.data")
+    _fields(out_doc, _OUT_FIELDS, "config.out")
     return net_spec, train_cfg, data_doc, out_doc
 
 
-def build_dataset(data_doc: dict) -> Dataset:
+def _data_kind(data_doc) -> tuple:
+    if not isinstance(data_doc, dict) or "kind" not in data_doc:
+        raise ConfigError("config.data must be an object with a 'kind' key")
     kind = data_doc["kind"]
-    try:
-        if kind == "blobs":
-            return gen_blobs(
-                seed=expect_int(data_doc["seed"], "config.data.seed"),
-                samples_per_class=expect_int(data_doc["samples_per_class"],
-                                             "config.data.samples_per_class"),
-                dims=expect_int(data_doc["dims"], "config.data.dims"),
-                class_count=expect_int(data_doc["classes"], "config.data.classes"),
-                spread=_as_real(data_doc["spread"], "config.data.spread"),
-            )
-        if kind == "xor":
-            return gen_xor(
-                seed=expect_int(data_doc["seed"], "config.data.seed"),
-                samples=expect_int(data_doc["samples"], "config.data.samples"),
-                noise=_as_real(data_doc["noise"], "config.data.noise"),
-            )
-        return load_csv(data_doc["path"])
-    except ParameterError as exc:
-        raise ConfigError(f"config.data: {exc}") from exc
+    if not isinstance(kind, str) or kind not in _DATA_KINDS:
+        raise ConfigError(f"config.data.kind must be blobs, xor or csv, got {kind!r}")
+    return _DATA_KINDS[kind]
 
 
-def _write_history_csv(history, path):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("epoch,loss,accuracy,wall_ms\n")
-        for rec in history:
-            fh.write(f"{rec.epoch},{repr(rec.train_loss)},"
-                     f"{repr(rec.train_accuracy)},{repr(rec.wall_ms)}\n")
+def build_dataset(data_doc: dict) -> Dataset:
+    builder, table = _data_kind(data_doc)
+    return _build(builder, data_doc, table, "config.data", also={"kind"})
 
 
 def _check_writable(*paths) -> None:  # exit 4 before any work
     for path in paths:
         directory = os.path.dirname(path) or "."
+        if os.path.isdir(path):
+            raise OSError(f"cannot write {path}: it is a directory")
         if not (os.path.isdir(directory) and os.access(directory, os.W_OK)):
             raise OSError(f"cannot write {path}: {directory} is missing or not writable")
 
@@ -171,7 +151,8 @@ def cmd_train(args) -> int:
     data = build_dataset(data_doc)
     net = build_network(net_spec)
     history = train_network(net, train_cfg, data, threads=args.threads)
-    _write_history_csv(history, out_doc["history"])
+    write_csv(out_doc["history"], ("epoch", "loss", "accuracy", "wall_ms"),
+              ((r.epoch, r.train_loss, r.train_accuracy, r.wall_ms) for r in history))
     with open(out_doc["model"], "w", encoding="utf-8", newline="\n") as fh:
         json.dump(model_to_json(net), fh, indent=1)
         fh.write("\n")
@@ -218,23 +199,12 @@ def cmd_bench(args) -> int:
     rows = []
     for n, m in dims:
         for kind in ("dense", "crosswise"):
-            spec = NetworkSpec(
-                layers=(LayerSpec(kind=kind, in_dim=n, out_dim=m, activation="relu"),),
-                seed=args.seed,
-            )
-            net = build_network(spec)
+            spec = NetworkSpec(layers=(LayerSpec(kind, n, m, "relu"),), seed=args.seed)
             x = CounterRng(args.seed, stream=1).uniform(n, -1.0, 1.0)
-            rows.append((
-                kind, n, m,
-                count_weights(spec).total_weights,
-                count_mults(spec).total_mults,
-                _median_forward_ns(net, x, args.reps),
-                args.reps,
-            ))
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("layer_kind,n,m,weights,mults,median_ns,reps\n")
-        for row in rows:
-            fh.write(",".join(str(v) for v in row) + "\n")
+            rows.append((kind, n, m, count_weights(spec).total_weights,
+                         count_mults(spec).total_mults,
+                         _median_forward_ns(build_network(spec), x, args.reps), args.reps))
+    write_csv(args.out, ("layer_kind", "n", "m", "weights", "mults", "median_ns", "reps"), rows)
     for row in rows:
         print(f"{row[0]} {row[1]}x{row[2]}: weights={row[3]} mults={row[4]} "
               f"median_ns={row[5]}")
@@ -267,7 +237,7 @@ def cmd_kernel_check(args) -> int:
         raise SamplingError("degenerate pair draw; use a different seed")
     points = raw / norms[:, None]
 
-    lines = []
+    rows = []
     summary = []
     for block_count in blocks:
         fm = sample_feature_map(derive_seed(args.seed, block_count), args.d,
@@ -279,12 +249,9 @@ def cmd_kernel_check(args) -> int:
             approx = float(phi[2 * i] @ phi[2 * i + 1])
             err = abs(exact - approx)
             errors.append(err)
-            lines.append(f"{block_count},{i},{repr(exact)},{repr(approx)},{repr(err)}")
+            rows.append((block_count, i, exact, approx, err))
         summary.append((block_count, float(np.mean(errors)), float(np.max(errors))))
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("blocks,pair,exact,approx,abs_error\n")
-        for line in lines:
-            fh.write(line + "\n")
+    write_csv(args.out, ("blocks", "pair", "exact", "approx", "abs_error"), rows)
     for block_count, mean_err, max_err in summary:
         print(f"blocks={block_count}: mean abs error {mean_err:.6f}, max {max_err:.6f}")
     return 0
@@ -292,11 +259,8 @@ def cmd_kernel_check(args) -> int:
 
 def cmd_algebra_check(args) -> int:
     report = verify_identities(args.seed, args.max_dim)
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("identity_id,residual,pass\n")
-        for check in report.checks:
-            fh.write(f"{check.identity_id},{repr(check.residual)},"
-                     f"{str(check.passed).lower()}\n")
+    write_csv(args.out, ("identity_id", "residual", "pass"),
+              ((c.identity_id, c.residual, str(c.passed).lower()) for c in report.checks))
     for check in report.checks:
         status = "ok" if check.passed else "FAIL"
         print(f"{check.identity_id}: residual {check.residual:.3e} "

@@ -107,14 +107,20 @@ def gen_xor(seed: int, samples: int, noise: float) -> Dataset:
     return Dataset(features=points, labels=labels, class_count=2)
 
 
-def save_csv(data: Dataset, path) -> None:
-    """Header f0..f{d-1},label; floats via repr so files are byte-stable."""
+def write_csv(path, header, rows) -> None:
+    """UTF-8, LF line ends, floats via repr and other cells via str: byte-stable files."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join([f"f{j}" for j in range(data.dim)] + ["label"]) + "\n")
-        for row, label in zip(data.features, data.labels):
-            cells = [repr(float(v)) for v in row]
-            cells.append(str(int(label)) if data.class_count > 0 else repr(float(label)))
-            fh.write(",".join(cells) + "\n")
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(repr(float(v)) if isinstance(v, float) else str(v)
+                              for v in row) + "\n")
+
+
+def save_csv(data: Dataset, path) -> None:
+    """Header f0..f{d-1},label; integer labels for classes, float labels otherwise."""
+    write_csv(path, [f"f{j}" for j in range(data.dim)] + ["label"],
+              (row + [label] for row, label in zip(data.features.tolist(),
+                                                   data.labels.tolist())))
 
 
 def load_csv(path) -> Dataset:

@@ -624,7 +624,7 @@ def _model_array(entry: dict, key: str, context: str, kinds: str = "if") -> np.n
 def model_from_json(doc: dict, seed: int = 0) -> Network:
     """Rebuild a network from `model_to_json` output; malformed models raise ParameterError."""
     expect_keys(doc, {"version", "layers"}, "model", error=ParameterError)
-    if doc["version"] != 1:
+    if expect_int(doc["version"], "model.version", ParameterError) != 1:
         raise ParameterError(f"unsupported model version {doc['version']!r}")
     if not isinstance(doc["layers"], list):
         raise ParameterError("model.layers must be a list")
@@ -633,7 +633,7 @@ def model_from_json(doc: dict, seed: int = 0) -> Network:
     for i, entry in enumerate(doc["layers"]):
         context = f"model.layers[{i}]"
         kind = entry.get("type") if isinstance(entry, dict) else None
-        if kind not in _MODEL_LAYER_KEYS:
+        if not isinstance(kind, str) or kind not in _MODEL_LAYER_KEYS:
             raise ParameterError(f"{context}: unknown layer type {kind!r}")
         expect_keys(entry, _MODEL_LAYER_KEYS[kind], context, {"activation"}, ParameterError)
         ints = {key: expect_int(entry[key], f"{context}.{key}", ParameterError)

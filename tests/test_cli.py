@@ -80,8 +80,12 @@ def test_train_rejects_unknown_key(tmp_path):
 
 
 def test_train_rejects_wrong_version(tmp_path):
-    cfg = base_config(tmp_path, version=2)
-    assert run_cli("train", "--config", write_config(tmp_path, cfg)).returncode == 2
+    for version in (2, True, 1.0, "1"):
+        cfg = base_config(tmp_path, version=version)
+        result = run_cli("train", "--config", write_config(tmp_path, cfg))
+        assert result.returncode == 2, version
+        assert "config" in result.stderr and "version" in result.stderr, result.stderr
+        assert not (tmp_path / "history.csv").exists()
 
 
 def test_train_divergence_exit_code(tmp_path):
@@ -101,12 +105,16 @@ def test_train_unwritable_output(tmp_path):
 
 
 def test_train_checks_output_paths_before_training(tmp_path):
-    cfg = base_config(tmp_path)
-    cfg["out"]["model"] = str(tmp_path / "missing_dir" / "model.json")
-    result = run_cli("train", "--config", write_config(tmp_path, cfg))
-    assert result.returncode == 4
-    assert "missing_dir" in result.stderr
-    assert not (tmp_path / "history.csv").exists()
+    (tmp_path / "a_dir").mkdir()
+    for model, named in ((tmp_path / "missing_dir" / "model.json", "missing_dir"),
+                         (tmp_path / "a_dir", "is a directory")):
+        cfg = base_config(tmp_path)
+        cfg["out"]["model"] = str(model)
+        result = run_cli("train", "--config", write_config(tmp_path, cfg))
+        assert result.returncode == 4
+        assert named in result.stderr
+        assert not (tmp_path / "history.csv").exists()
+        assert list((tmp_path / "a_dir").iterdir()) == []
 
 
 # (command line, the library call that does the command's work)
@@ -130,6 +138,12 @@ def test_output_path_checked_before_work(tmp_path, monkeypatch, capsys, command)
     assert cli.main([*argv, "--out", str(tmp_path / "missing_dir" / "out.csv")]) == 4
     assert "missing_dir" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+    # An --out that is an existing directory is refused the same way.
+    (tmp_path / "a_dir").mkdir()
+    assert cli.main([*argv, "--out", str(tmp_path / "a_dir")]) == 4
+    assert "a_dir: it is a directory" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [tmp_path / "a_dir"]
+    assert list((tmp_path / "a_dir").iterdir()) == []
 
 
 def test_train_csv_dataset_roundtrip(tmp_path):
@@ -141,6 +155,22 @@ def test_train_csv_dataset_roundtrip(tmp_path):
     cfg = base_config(tmp_path)
     cfg["data"] = {"kind": "csv", "path": str(data_path)}
     assert run_cli("train", "--config", write_config(tmp_path, cfg)).returncode == 0
+
+
+def test_train_refuses_a_data_path_that_is_not_a_string(tmp_path):
+    """A csv `path` of another JSON type exits 2, writes no file and never
+    reads stdin (0 would be the stdin file descriptor)."""
+    for path in (None, 0, True, 1.5, ["data.csv"]):
+        cfg = base_config(tmp_path)
+        cfg["data"] = {"kind": "csv", "path": path}
+        result = subprocess.run(
+            [sys.executable, "-m", "crosswise", "train", "--config", write_config(tmp_path, cfg)],
+            capture_output=True, text=True, input="f0,label\n1.0,0\n1.0,1\n",
+        )
+        assert result.returncode == 2, (path, result.stderr)
+        assert "config.data.path must be a path string" in result.stderr
+        assert "Traceback" not in result.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
 
 
 def test_train_rejects_threads_below_one(tmp_path):

@@ -677,10 +677,12 @@ def test_model_json_reload_writes_the_same_document():
 
 
 def test_model_json_rejects_unknown():
-    with pytest.raises(ParameterError):
-        model_from_json({"version": 2, "layers": []})
-    with pytest.raises(ParameterError):
-        model_from_json({"version": 1, "layers": [{"type": "conv", "n": 1, "m": 1}]})
+    for version in (2, True, 1.0, "1"):
+        with pytest.raises(ParameterError):
+            model_from_json({"version": version, "layers": []})
+    for kind in ("conv", ["dense"], {"dense": 1}, None):
+        with pytest.raises(ParameterError, match="unknown layer type"):
+            model_from_json({"version": 1, "layers": [{"type": kind, "n": 1, "m": 1}]})
 
 
 def _model_doc():

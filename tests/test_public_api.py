@@ -7,7 +7,11 @@ below is edited, so every change to the surface shows up as a reviewed diff.
 import contextlib
 import io
 import json
+import os
 import re
+import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import crosswise
@@ -62,3 +66,35 @@ def test_readme_run_config_parses():
     assert train_cfg.epochs == 50
     assert data_doc["kind"] == "blobs"
     assert out_doc == {"history": "history.csv", "model": "model.json"}
+
+
+def test_readme_cli_examples_run(tmp_path):
+    """Every command line under `## CLI` exits 0 (optional `[...]` parts
+    dropped), and every CSV it writes has the header its section states."""
+    text = README.read_text(encoding="utf-8")
+    cli_text = text[text.index("\n## CLI\n"):]
+    cli_text = cli_text[:cli_text.index("\n## ", 1)]
+    (tmp_path / "run.json").write_text(readme_block("### train", "json"), encoding="utf-8")
+    history = json.loads(readme_block("### train", "json"))["out"]["history"]
+    # The commands run in tmp_path, so the package is found by an absolute path.
+    package_root = str(Path(crosswise.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+    commands = 0
+    for section in cli_text.split("\n### ")[1:]:
+        stated = set(re.findall(r"`([^`\s]*,[^`\s]*)`", section))
+        for block in re.findall(r"```sh\n(.*?)```", section, re.DOTALL):
+            for line in block.splitlines():
+                argv = shlex.split(re.sub(r"\s*\[[^]]*\]", "", line))
+                assert argv[0] == "crosswise", line
+                result = subprocess.run([sys.executable, "-m", "crosswise", *argv[1:]],
+                                        capture_output=True, text=True, cwd=tmp_path, env=env)
+                assert result.returncode == 0, (line, result.stderr)
+                out = argv[argv.index("--out") + 1] if "--out" in argv else history
+                header = (tmp_path / out).read_text(encoding="utf-8").splitlines()[0]
+                cells = header.split(",")
+                if cells == [f"f{j}" for j in range(len(cells) - 1)] + ["label"]:
+                    header = "f0,...,f{d-1},label"  # a dataset CSV, as the README writes it
+                assert header in stated, (line, header, stated)
+                commands += 1
+    assert commands == 6
