@@ -118,7 +118,9 @@ def parse_config(doc: dict):
     train_cfg = _build(TrainConfig, train_doc, _TRAIN_FIELDS, "config.train")
     _, data_table = _data_kind(data_doc)
     _expect_keys(data_doc, data_table.keys() | {"kind"}, "config.data")
-    _fields(out_doc, _OUT_FIELDS, "config.out")
+    history, model = _fields(out_doc, _OUT_FIELDS, "config.out")
+    if os.path.realpath(history) == os.path.realpath(model):
+        raise ConfigError(f"config.out.history and config.out.model are one file: {model!r}")
     return net_spec, train_cfg, data_doc, out_doc
 
 

@@ -128,11 +128,11 @@ def crosswise_backward(
         g_ext = np.zeros((*g.shape[:-1], w.k * w.in_dim))
         g_ext[..., : w.out_dim] = g
     g_blocks = g_ext.reshape(*g.shape[:-1], w.k, w.in_dim)
-    grad_c = (g_blocks * x[..., None, :]).reshape(-1, w.k * w.in_dim).sum(axis=0)
-    grad_b = g.reshape(-1, w.out_dim).sum(axis=0)
+    grad_c = np.add.reduce((g_blocks * x[..., None, :]).reshape(-1, w.k * w.in_dim), axis=0)
+    grad_b = np.add.reduce(g.reshape(-1, w.out_dim), axis=0)
     if not input_grad:
         return grad_c, grad_b, None
-    grad_x = (w.c.reshape(w.k, w.in_dim) * g_blocks).sum(axis=-2)
+    grad_x = np.add.reduce(w.c.reshape(w.k, w.in_dim) * g_blocks, axis=-2)
     return grad_c, grad_b, grad_x
 
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -150,7 +150,7 @@ class DenseLayer:
         else:
             g_pre = g_out
         rows = g_pre.reshape(-1, self.spec.out_dim)
-        grads = {"w": rows.T @ x.reshape(-1, self.spec.in_dim), "b": rows.sum(axis=0)}
+        grads = {"w": rows.T @ x.reshape(-1, self.spec.in_dim), "b": np.add.reduce(rows, axis=0)}
         return grads, (g_pre @ self.w if input_grad else None)
 
 
@@ -319,9 +319,9 @@ def _forward_with_caches(net: Network, x: np.ndarray):
 
 def _shifted_exp(z: np.ndarray):
     """(z minus its row max, the exp of that, and its row sums as a column)."""
-    shifted = z - z.max(axis=-1, keepdims=True)
+    shifted = z - np.maximum.reduce(z, axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return shifted, e, e.sum(axis=-1, keepdims=True)
+    return shifted, e, np.add.reduce(e, axis=-1, keepdims=True)
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
@@ -350,13 +350,13 @@ def _loss_and_gradient(kind: str, prediction: np.ndarray, target: np.ndarray, la
     target; for cross_entropy, `labels` holds the hot index of each target row."""
     if kind == "mse":
         diff = prediction - target
-        return float((diff * diff).mean()), 2.0 * diff / prediction.shape[-1]
+        loss = np.add.reduce(diff * diff, axis=None) / diff.size
+        return float(loss), 2.0 * diff / prediction.shape[-1]
     # -log softmax(prediction)[hot] with log-sum-exp stabilization, and its
     # gradient softmax(prediction) - target, from one shift, exp and row sum.
     shifted, e, total = _shifted_exp(prediction)
-    rows = shifted.reshape(-1, shifted.shape[-1])
-    hot = rows[np.arange(rows.shape[0]), np.reshape(labels, -1)]
-    return float((np.log(total).ravel() - hot).mean()), e / total - target
+    hot = shifted.ravel()[labels.reshape(-1) + np.arange(0, shifted.size, shifted.shape[-1])]
+    return float(np.add.reduce(np.log(total).ravel() - hot) / hot.size), e / total - target
 
 
 def loss_eval(kind: str, prediction: np.ndarray, target: np.ndarray) -> float:
@@ -422,7 +422,7 @@ def _accuracy(net: Network, x: np.ndarray, data) -> float:
     if data.class_count == 0:
         return 0.0
     predicted = np.argmax(network_forward(net, x), axis=-1)
-    return float(np.mean(predicted == data.labels))
+    return np.count_nonzero(predicted == data.labels) / data.labels.size
 
 
 def _stepped_network(net: Network, features: np.ndarray):
@@ -438,8 +438,8 @@ def _stepped_network(net: Network, features: np.ndarray):
         layer = layers[i]
         if i == 0 and staged:
             features = layer.stage(features)
-            layer = CrosswiseLayer(replace(layer.spec, kind="crosswise", in_dim=layer.pad),
-                                   layer.weights)
+            layer = CrosswiseLayer(LayerSpec("crosswise", layer.pad, layer.spec.out_dim,
+                                             layer.spec.activation), layer.weights)
         if layer.kind != "dense":
             n = layer.pad
             if layer.kind == "crosswise" and (i == 0 or layers[i - 1].kind != "dense"):
@@ -453,8 +453,10 @@ def _stepped_network(net: Network, features: np.ndarray):
             if (n, need) != (layer.pad, layer.spec.out_dim):
                 k = block_count(n, need)
                 w = CrosswiseWeights(n, need, k, layer.weights.c[: k * n], layer.weights.b[:need])
-                spec = replace(layer.spec, out_dim=need)
-                layer = (CrosswiseLayer(replace(spec, in_dim=n), w) if layer.kind == "crosswise"
+                plain = layer.kind == "crosswise"
+                spec = LayerSpec(layer.kind, n if plain else layer.spec.in_dim, need,
+                                 layer.spec.activation)
+                layer = (CrosswiseLayer(spec, w) if plain
                          else CrosswiseMixedLayer(spec, w, layer.signs, layer.perm))
         layers[i], need = layer, layer.spec.in_dim
     return Network(net.spec, layers), features[:, :need], staged
@@ -463,11 +465,11 @@ def _stepped_network(net: Network, features: np.ndarray):
 def train_network(net: Network, cfg: TrainConfig, data, threads: int = 1) -> list:
     """Mutates net in place; returns the per-epoch history.
 
-    The targets are built and checked once per call (cross_entropy needs a
-    dataset with classes).  Each mini-batch is one `(B, d)` forward pass, one
-    fused loss and head gradient (one shift, `exp` and row sum) and one
-    backward pass; the step uses the mean of its rows' gradients.  `threads`
-    is accepted for compatibility and has no effect; it must be at least 1.
+    Targets are built and checked once per call (cross_entropy needs classes).
+    Each epoch gathers its shuffled rows, targets and labels into one copy,
+    freed before its accuracy pass, and slices each mini-batch from it: one
+    `(B, d)` forward pass, fused loss-and-gradient step and backward pass,
+    stepped by its rows' mean gradient.  `threads` has no effect (must be >= 1).
 
     A first `crosswise_mixed` layer's stage is fixed and nothing reads its
     input gradient, so the stage runs once per call on all rows, and a plain
@@ -494,20 +496,22 @@ def train_network(net: Network, cfg: TrainConfig, data, threads: int = 1) -> lis
     for epoch in range(1, cfg.epochs + 1):
         started = time.perf_counter()
         order = CounterRng(cfg.seed, stream=epoch).permutation(n)
+        xs = np.take(rows.T, order, axis=1).T if staged else rows[order]
+        ts, labels = targets[order], data.labels[order]
         loss_sum = 0.0
         for start in range(0, n, cfg.batch_size):
-            batch = order[start : start + cfg.batch_size]
-            x = np.take(rows.T, batch, axis=1).T if staged else rows[batch]
-            grads, batch_loss = _backward_with_loss(stepped, x, targets[batch],
-                                                    data.labels[batch], cfg.loss)
+            batch = slice(start, start + cfg.batch_size)
+            grads, batch_loss = _backward_with_loss(stepped, xs[batch], ts[batch],
+                                                    labels[batch], cfg.loss)
             if not math.isfinite(batch_loss):
                 raise DivergenceError(f"non-finite loss at epoch {epoch}")
-            scale = 1.0 / len(batch)
+            size = min(n - start, cfg.batch_size)
             for layer_grads in grads:
                 for g in layer_grads.values():
-                    g *= scale
+                    g *= 1.0 / size
             sgd_step(stepped, grads, cfg.learning_rate)
-            loss_sum += batch_loss * len(batch)
+            loss_sum += batch_loss * size
+        del xs, ts, labels  # one gathered copy at a time, none in the accuracy pass
         epoch_loss = loss_sum / n
         if not math.isfinite(epoch_loss):
             raise DivergenceError(f"non-finite loss at epoch {epoch}")

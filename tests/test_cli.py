@@ -117,6 +117,18 @@ def test_train_checks_output_paths_before_training(tmp_path):
         assert list((tmp_path / "a_dir").iterdir()) == []
 
 
+def test_train_refuses_one_file_for_both_outputs(tmp_path):
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "link.out").symlink_to(tmp_path / "same.out")
+    for model in (tmp_path / "sub" / ".." / "same.out", tmp_path / "link.out"):
+        cfg = base_config(tmp_path)
+        cfg["out"] = {"history": str(tmp_path / "same.out"), "model": str(model)}
+        result = run_cli("train", "--config", write_config(tmp_path, cfg))
+        assert result.returncode == 2, result.stderr
+        assert "config.out.history" in result.stderr and "config.out.model" in result.stderr
+        assert not (tmp_path / "same.out").exists()
+
+
 # (command line, the library call that does the command's work)
 EARLY_OUTPUT_CHECKS = {
     "bench": (["bench", "--dims", "1024x1024"], "build_network"),

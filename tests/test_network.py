@@ -123,6 +123,15 @@ def test_loss_eval_examples():
         one_hot = np.zeros(c)
         one_hot[c - 1] = 1.0
         assert abs(loss_eval("cross_entropy", logits, one_hot) - math.log(c)) < 1e-12
+    # Any leading shape is a batch of rows: the loss is their mean.
+    rng = np.random.default_rng(0)
+    for shape in ((3, 1, 4), (3, 2, 4)):
+        logits = rng.standard_normal(shape)
+        one_hot = np.eye(4)[rng.integers(0, 4, shape[:-1])]
+        for kind in ("mse", "cross_entropy"):
+            rows = [loss_eval(kind, p, t)
+                    for p, t in zip(logits.reshape(-1, 4), one_hot.reshape(-1, 4))]
+            assert abs(loss_eval(kind, logits, one_hot) - np.mean(rows)) < 1e-12
 
 
 def test_loss_eval_errors():

@@ -98,3 +98,14 @@ def test_readme_cli_examples_run(tmp_path):
                 assert header in stated, (line, header, stated)
                 commands += 1
     assert commands == 6
+
+
+def test_import_leaves_the_thread_pool_out():
+    """`import crosswise` does not import `concurrent.futures`: only a block
+    draw that splits its chi(n) draw across threads pays for it."""
+    package_root = str(Path(crosswise.__file__).resolve().parents[1])
+    probe = ("import sys, crosswise; "
+             "print(sorted(m for m in sys.modules if m.startswith('concurrent')))")
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": package_root}, check=True)
+    assert result.stdout.strip() == "[]"

@@ -12,6 +12,7 @@ import json
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -207,3 +208,38 @@ def test_train_network_equals_reference_loop_behind_a_wide_producer():
                          [3.71995688], [2.62811715], [-2.85281874], [-3.62497634]])
     data = Dataset(features=features, labels=np.array([0, 0, 1, 1, 2, 2, 3, 3]), class_count=4)
     _assert_equals_reference_loop(spec, TrainConfig(0.05, 1, 7, "cross_entropy", 3), data)
+
+
+# Stacks whose first layer reads the feature matrix in each of the ways
+# training does: a dense product, the leading columns of a narrowing plain
+# layer, and the fixed stage of a mixed layer, whose rows are then gathered.
+LAYOUT_STACKS = {
+    "dense-first": (("dense", 32, 32), ("crosswise", 32, 4)),
+    "plain-first": (("crosswise", 32, 64), ("crosswise", 64, 4)),
+    "mixed-first": (("crosswise_mixed", 30, 32), ("dense", 32, 4)),
+}
+
+
+@pytest.mark.parametrize("batch", (32, 7))
+@pytest.mark.parametrize("stack", sorted(LAYOUT_STACKS))
+def test_training_does_not_depend_on_the_feature_layout(stack, batch):
+    """A C-ordered feature matrix, its Fortran-ordered copy and a column-sliced
+    view train to the same model bytes and history (120 rows: batches of 7
+    end with a one-row batch)."""
+    *hidden, last = LAYOUT_STACKS[stack]
+    spec = NetworkSpec(layers=(*(LayerSpec(*layer) for layer in hidden),
+                               LayerSpec(*last, "softmax_output")), seed=2)
+    dims = spec.layers[0].in_dim
+    data = gen_blobs(seed=6, samples_per_class=30, dims=dims, class_count=4, spread=0.5)
+    wide = np.zeros((120, dims + 3))
+    wide[:, 2 : dims + 2] = data.features
+    layouts = (np.ascontiguousarray(data.features), np.asfortranarray(data.features),
+               wide[:, 2 : dims + 2])
+    runs = set()
+    for features in layouts:
+        net = build_network(spec)
+        history = train_network(net, TrainConfig(0.5, 2, batch, "cross_entropy", 9),
+                                Dataset(features, data.labels, 4))
+        runs.add((json.dumps(model_to_json(net)),
+                  tuple((r.train_loss, r.train_accuracy) for r in history)))
+    assert len(runs) == 1
