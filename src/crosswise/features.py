@@ -40,62 +40,49 @@ def fwht(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     power-of-two length.  A `(B, n)` input transforms each row exactly as the
     row alone would be transformed.  The input is not modified unless it is `out`.
 
-    Radix-4, in place on one copy of the input: each pass applies the
-    butterfly levels h and 2h, and an odd level count ends with one radix-2
-    level.  These are the butterflies of the radix-2 recursion h = 1, 2, 4, ...
-    on the same pairs in the same order, so the result is bit-identical to it.
+    Bit-rotating (Pease's fixed-geometry form): each of the log2 n levels reads
+    the pairs (2j, 2j+1) of the flat C-ordered `(..., n)` data as two stride-2
+    views and writes their sums to the first half of the other buffer and their
+    differences to the second half.  The level's butterfly bit moves to the top
+    of the index, so level h = 1, 2, 4, ... pairs the same values as the
+    radix-2 recursion's level h, in the same order, and the result is
+    bit-identical to it.  The first level reads `v` in whatever layout it has.
 
-    The copy is laid out `(n, *lead)` in C order, so the rows are the
-    innermost axis and every butterfly slot is one contiguous run.  The result
-    is a view of it with the transform axis moved back to the end: a `(B, n)`
-    input comes back as the transpose of a C-ordered `(n, B)` array (Fortran
-    order), and a 1-D input as a contiguous vector.
+    After the last level the data is laid out `(n, *lead)` in C order.  The
+    result is a view of it with the transform axis moved back to the end: a
+    `(B, n)` input comes back as the transpose of a C-ordered `(n, B)` array
+    (Fortran order), and a 1-D input as a contiguous vector.
 
-    `out`, if given, is used as that copy and returned: a float64 array of
-    the input's shape in this layout, e.g. ``np.empty((n, B)).T``, or else
-    ShapeError.  Nothing is copied when `out` is `v` itself.
+    `out`, if given, is a C-contiguous float64 array of the input's shape, or
+    else ShapeError, and its contents are lost: it and one new buffer are the
+    two buffers the levels alternate between.  The result is a view of `out`,
+    except when `out` is `v` itself and log2 n is odd: then it is a view of the
+    new buffer.
     """
-    v = np.asarray(v)
+    v = np.asarray(v, dtype=np.float64)
     if v.ndim == 0:
         raise ShapeError("fwht needs an array with a last axis, got a scalar")
     n = v.shape[-1]
     if n < 1 or (n & (n - 1)) != 0:
         raise ShapeError(f"fwht length must be a power of two, got {n}")
-    axes = (-1, *range(v.ndim - 1))
     if out is None:
-        out = np.empty(v.shape[-1:] + v.shape[:-1]).transpose(*range(1, v.ndim), 0)
+        out = np.empty(v.shape)
     elif (getattr(out, "shape", None) != v.shape or out.dtype != np.float64
-          or not out.transpose(axes).flags.c_contiguous):
-        raise ShapeError(f"fwht out must be a float64 array of shape {v.shape}, "
-                         "C-contiguous with its last axis first")
-    a = out.transpose(axes)
-    if out is not v:
-        np.copyto(a, v.transpose(axes), casting="unsafe")
-    rows = a.size // n
-    h = 1
-    while 4 * h <= n:
-        m = n // (4 * h)
-        # Slot views of shape (m, h*rows).  Level h pairs (a0, a1) and
-        # (a2, a3), then level 2h pairs (a0, a2) and (a1, a3); level h's a2/a3
-        # results go to the freed a0/a1 slots.  NumPy's default order loops
-        # innermost over runs of h*rows values; for runs shorter than 8 and
-        # than m, order "F" loops over m.
-        a0, a1, a2, a3 = a.reshape(m, 4, h * rows).transpose(1, 0, 2)
-        order = "F" if h * rows < min(m, 8) else "K"
-        s, d = np.add(a0, a1, order=order), np.subtract(a0, a1, order=order)
-        np.add(a2, a3, out=a0, order=order)
-        np.subtract(a2, a3, out=a1, order=order)
-        np.subtract(s, a0, out=a2, order=order)
-        np.add(s, a0, out=a0, order=order)
-        np.subtract(d, a1, out=a3, order=order)
-        np.add(d, a1, out=a1, order=order)
-        h *= 4
-    if h < n:
-        a0, a1 = a.reshape(2, h * rows)
-        s = a0 + a1
-        np.subtract(a0, a1, out=a1)
-        a0[...] = s
-    return out
+          or not out.flags.c_contiguous):
+        raise ShapeError(f"fwht out must be a C-contiguous float64 array of shape {v.shape}")
+    levels, half = n.bit_length() - 1, v.size // 2
+    # The last level writes `out`, unless the first must not (it reads `out`).
+    spare = np.empty(v.shape) if levels > 1 or out is v else None
+    pair = (out, spare) if levels % 2 and out is not v else (spare, out)
+    if levels == 0 and out is not v:
+        np.copyto(out, v)
+    evens, odds = v[..., 0::2], v[..., 1::2]
+    for level in range(levels):
+        flat = pair[level % 2].reshape(-1)
+        np.add(evens, odds, out=flat[:half].reshape(evens.shape))
+        np.subtract(evens, odds, out=flat[half:].reshape(evens.shape))
+        evens, odds = flat[0::2], flat[1::2]
+    return pair[(levels - 1) % 2].reshape(n, *v.shape[:-1]).transpose(*range(1, v.ndim), 0)
 
 
 @dataclass
@@ -199,16 +186,18 @@ def apply_zhat(block: McKernelBlock, x: np.ndarray) -> np.ndarray:
     padded[..., : x.shape[-1]] = x
     # A stack's factors are (blocks, n): every input row meets every block.
     per_row = block.b_signs.shape[:-1] + (1,) * (x.ndim - 1) + (n,)
-    v = fwht(block.b_signs.reshape(per_row) * padded)
-    # P and G act on whole rows of the FWHT's (n, blocks, rows) buffer, each a
+    v = block.b_signs.reshape(per_row) * padded
+    v = fwht(v, out=v)
+    # P gathers whole rows of the FWHT's (n, blocks, rows) result, each a
     # contiguous run over the input rows: row p*blocks + i holds entry p of
-    # block i.  The result is the next FWHT's own layout.
+    # block i.  G is applied as the gathered (blocks, n, rows) runs are turned
+    # into the next FWHT's C-ordered (blocks, rows, n) input.
     blocks = block.perm.size // n
     u = v.transpose(-1, *range(v.ndim - 1)).reshape(n * blocks, -1)
-    u = np.take(u, (block.perm.T * blocks + np.arange(blocks)).reshape(-1), axis=0)
-    u *= block.g_diag.T.reshape(-1, 1)
-    v = u.reshape(v.shape[-1:] + v.shape[:-1]).transpose(*range(1, v.ndim), 0)
-    v = np.multiply(fwht(v), block.c_diag.reshape(per_row), order="C")
+    index = block.perm * blocks + np.arange(blocks).reshape(block.perm.shape[:-1] + (1,))
+    u = np.take(u, index, axis=0).swapaxes(-1, -2)
+    w = np.multiply(u, block.g_diag[..., None, :], order="C").reshape(v.shape)
+    v = np.multiply(fwht(w, out=w), block.c_diag.reshape(per_row), order="C")
     v /= block.sigma * math.sqrt(n)
     return v
 

@@ -217,21 +217,23 @@ class CrosswiseMixedLayer(CrosswiseLayer):
         self._scale = 1.0 / math.sqrt(self.pad)
 
     def stage(self, x: np.ndarray) -> np.ndarray:
-        """The fixed stage of each row of `x`, in `fwht`'s layout: a batch comes
-        back as the transpose of a C-ordered `(pad, B)` array (F order), and a
-        following dense layer's product bits depend on that layout."""
+        """The fixed stage of each row of `x`, in `fwht`'s output layout: a batch
+        comes back as the transpose of a C-ordered `(pad, B)` array (F order),
+        and a following dense layer's product bits depend on that layout."""
         if x.shape[-1:] != (self.spec.in_dim,):
             raise ShapeError(
                 f"expected input of length {self.spec.in_dim}, got shape {x.shape}"
             )
         n = self.spec.in_dim
-        buf = np.empty((self.pad, *x.shape[:-1]))
-        v = buf.transpose(*range(1, buf.ndim), 0)
+        # The sign flip and zero pad fill a C-ordered `(B, pad)` buffer, which
+        # `fwht` consumes as its scratch; the permutation then gathers whole
+        # rows of its `(pad, B)` result.
+        v = np.empty((*x.shape[:-1], self.pad))
         np.multiply(self.signs[:n], x, out=v[..., :n])
         if n != self.pad:
             v[..., n:] = self.signs[n:] * 0.0
-        fwht(v, out=v)
-        u = np.take(buf, self.perm, axis=0)
+        v = fwht(v, out=v)
+        u = np.take(v.transpose(-1, *range(v.ndim - 1)), self.perm, axis=0)
         u *= self._scale
         return u.transpose(*range(1, u.ndim), 0)
 
@@ -250,11 +252,10 @@ class CrosswiseMixedLayer(CrosswiseLayer):
         if input_grad:
             # Transpose of the mixing stage: unscale, unpermute (into every slot),
             # FWHT (symmetric), then sign-flip only the coordinates that are kept.
-            # The scatter fills the FWHT's own layout, which is transformed in
-            # place; the result is C-ordered, since a Fortran-ordered gradient
-            # makes the previous layer's row sums pairwise.
-            buf = np.empty((self.pad, *grad_u.shape[:-1]))
-            g_v = buf.transpose(*range(1, buf.ndim), 0)
+            # The scatter fills a C-ordered `(B, pad)` buffer, the FWHT's scratch;
+            # the result is C-ordered, since a Fortran-ordered gradient makes the
+            # previous layer's row sums pairwise.
+            g_v = np.empty((*grad_u.shape[:-1], self.pad))
             g_v[..., self.perm] = grad_u * self._scale
             g_x = np.multiply(self.signs[: self.spec.in_dim],
                               fwht(g_v, out=g_v)[..., : self.spec.in_dim], order="C")
@@ -418,11 +419,19 @@ def _targets_for(data, out_dim: int, loss: str) -> np.ndarray:
     return data.labels.reshape(-1, 1)
 
 
+# Rows per forward pass of the accuracy pass: its memory does not grow with the dataset.
+_ACCURACY_ROWS = 1024
+
+
 def _accuracy(net: Network, x: np.ndarray, data) -> float:
     if data.class_count == 0:
         return 0.0
-    predicted = np.argmax(network_forward(net, x), axis=-1)
-    return np.count_nonzero(predicted == data.labels) / data.labels.size
+    hits = 0
+    for start in range(0, data.labels.size, _ACCURACY_ROWS):
+        rows = slice(start, start + _ACCURACY_ROWS)
+        predicted = np.argmax(network_forward(net, x[rows]), axis=-1)
+        hits += np.count_nonzero(predicted == data.labels[rows])
+    return hits / data.labels.size
 
 
 def _stepped_network(net: Network, features: np.ndarray):

@@ -120,24 +120,43 @@ def test_fwht_batch_equals_rows_and_naive(log_n, batch, seed):
     out = fwht(x)
     np.testing.assert_array_equal(x, kept)
     assert out.shape == x.shape
-    # The result is the transposed view of the C-ordered (n, B) working copy.
+    # The result is the transposed view of the C-ordered (n, B) array the last level writes.
     assert out.T.flags.c_contiguous
     for i in range(batch):
         np.testing.assert_array_equal(out[i], fwht(x[i]))
         np.testing.assert_allclose(out[i], naive_fwht(x[i]), rtol=0.0, atol=1e-9)
 
 
+def _bits(a):
+    """The float64 bit patterns of `a`: unlike `assert_array_equal`, these tell
+    -0.0 from 0.0 and one NaN from another."""
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def _edge_values(gen, shape, zeros, infs):
+    """Normals over 1e-200..1e200; a `zeros` share of them becomes a signed
+    zero and an `infs` share a signed infinity, each with a random sign."""
+    x = gen.standard_normal(shape) * 10.0 ** gen.integers(-200, 201, shape)
+    u = gen.random(shape)
+    x[u < zeros] *= 0.0
+    x[u >= 1.0 - infs] = np.copysign(np.inf, x[u >= 1.0 - infs])
+    return x
+
+
+_EDGE_SHARES = (st.sampled_from((0.0, 0.5, 1.0)), st.sampled_from((0.0, 0.01)))
+
+
 @st.composite
 def _fwht_input(draw):
-    """Power-of-two last axis up to 4096, lead shape (), (B,) or (B, k), any layout."""
+    """Power-of-two last axis up to 4096, lead shape (), (B,) or (B, k), any
+    layout, with signed zeros and infinities seeded in."""
     n = 2 ** draw(st.integers(0, 12))
     lead = draw(st.sampled_from(((), (draw(st.integers(1, 3)),),
                                  (draw(st.integers(1, 3)), draw(st.integers(1, 3))))))
     layout = draw(st.sampled_from(("contiguous", "strided", "fortran")))
     gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    base = gen.standard_normal(lead + (2 * n,))
-    # Magnitudes from 1e-200 to 1e200: sums round differently in another order.
-    base *= 10.0 ** gen.integers(-200, 201, base.shape)
+    # Sums of magnitudes 1e-200 to 1e200 round differently in another order.
+    base = _edge_values(gen, lead + (2 * n,), draw(_EDGE_SHARES[0]), draw(_EDGE_SHARES[1]))
     if layout == "strided":
         return base[..., ::2]
     base = base[..., :n]
@@ -151,50 +170,48 @@ def test_fwht_equals_radix2_butterflies_exactly(x):
     with np.errstate(over="ignore", invalid="ignore"):
         out = fwht(x)
         expected = butterfly_fwht(x)
-    np.testing.assert_array_equal(x, kept)
+    np.testing.assert_array_equal(_bits(x), _bits(kept))
     assert out.shape == x.shape
-    np.testing.assert_array_equal(out, expected)
+    np.testing.assert_array_equal(_bits(out), _bits(expected))
 
 
-def _fwht_layout(lead, n, dtype=np.float64):
-    """An uninitialized `(*lead, n)` array in fwht's working layout."""
-    return np.empty((n, *lead), dtype=dtype).transpose(*range(1, len(lead) + 1), 0)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 10), st.integers(1, 5), st.integers(0, 2),
-       st.integers(0, 2**32 - 1))
-def test_fwht_out_is_transformed_in_place_bit_for_bit(log_n, batch, rank, seed):
-    n = 2**log_n
+# n = 1 (no level), odd and even level counts, and the wide rows of the feature map.
+@pytest.mark.parametrize("n", (1, 2, 8, 512, 1024))
+@settings(max_examples=15, deadline=None)
+@given(st.integers(1, 5), st.integers(0, 2), st.integers(0, 2**32 - 1), *_EDGE_SHARES)
+def test_fwht_out_is_scratch_bit_for_bit(n, batch, rank, seed, zeros, infs):
     lead = ((), (batch,), (2, 3))[rank]
-    gen = np.random.default_rng(seed)
-    x = gen.standard_normal(lead + (n,)) * 10.0 ** gen.integers(-200, 201, lead + (n,))
+    x = _edge_values(np.random.default_rng(seed), lead + (n,), zeros, infs)
     kept = x.copy()
     with np.errstate(over="ignore", invalid="ignore"):
-        expected = butterfly_fwht(x)
-        np.testing.assert_array_equal(fwht(x), expected)
-        # `out` is the input itself, already in the working layout.
-        v = _fwht_layout(lead, n)
-        v[...] = x
-        assert fwht(v, out=v) is v
-        np.testing.assert_array_equal(v, expected)
-        # `out` is a separate buffer; the input is left as it was.
-        out = _fwht_layout(lead, n)
-        assert fwht(x, out=out) is out
-    np.testing.assert_array_equal(out, expected)
-    np.testing.assert_array_equal(x, kept)
+        expected = _bits(butterfly_fwht(x))
+        np.testing.assert_array_equal(_bits(fwht(x)), expected)
+        # `out` is the input itself, which the levels consume: an even level
+        # count ends in it, an odd one in the one new buffer.
+        v = x.copy()
+        result = fwht(v, out=v)
+        np.testing.assert_array_equal(_bits(result), expected)
+        assert np.shares_memory(result, v) == (n.bit_length() % 2 == 1)
+        # `out` is a separate buffer: the result lands in it, the input stays.
+        out = np.empty(lead + (n,))
+        result = fwht(x, out=out)
+    np.testing.assert_array_equal(_bits(result), expected)
+    assert np.shares_memory(result, out)
+    # Either way the result is a view of a C-ordered (n, *lead) array.
+    assert result.transpose(-1, *range(rank)).flags.c_contiguous
+    np.testing.assert_array_equal(_bits(x), _bits(kept))
 
-    wrong = [_fwht_layout(lead, 2 * n), _fwht_layout(lead, n, np.float32), x.tolist()]
+    wrong = [np.empty(lead + (2 * n,)), np.empty(lead + (n,), np.float32), x.tolist()]
     if x.size > 1:
         # Every other float64 of a buffer: never contiguous, whatever the shape.
-        strided = np.empty((n, *lead, 2))[..., 0]
-        wrong.append(strided.transpose(*range(1, len(lead) + 1), 0))
+        wrong.append(np.empty(lead + (n, 2))[..., 0])
     if n > 1 and x.size > n:
-        wrong.append(np.empty(lead + (n,)))  # C order: rows are the outer axis
+        # The result's own layout, (n, *lead) in C order: not C-ordered as (*lead, n).
+        wrong.append(np.empty((n, *lead)).transpose(*range(1, rank + 1), 0))
     for bad in wrong:
         with pytest.raises(ShapeError):
             fwht(x, out=bad)
-    np.testing.assert_array_equal(x, kept)
+    np.testing.assert_array_equal(_bits(x), _bits(kept))
 
 
 @settings(max_examples=30, deadline=None)

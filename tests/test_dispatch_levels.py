@@ -55,6 +55,8 @@ print(json.dumps({
         net(("dense", 8, 16), ("crosswise", 16, 8), ("crosswise_mixed", 8, 4), seed=9)))),
     "mixed->crosswise forward": sha(network_forward(mixed, rows)),
     "batched fwht": sha(fwht(CounterRng(13).uniform(16 * 256).reshape(16, 256))),
+    "single-row fwht": sha(fwht(CounterRng(14).uniform(1024))),
+    "odd-level fwht": sha(fwht(CounterRng(15).uniform(3 * 512).reshape(3, 512))),
     "gen_xor(noise=0)": sha(xor.features) + sha(xor.labels),
     "mse training": sha(json.dumps([[r.train_loss.hex(), r.train_accuracy] for r in history]
                                    + [model_to_json(trained)])),
