@@ -56,6 +56,10 @@ class CrosswiseWeights:
             raise ShapeError(
                 f"bias must have length M = {self.out_dim}, got {self.b.shape}"
             )
+        self._blocks_of = None  # the `c` whose live `(k, min(N, M))` view is `_blocks`
+
+    def __getstate__(self):  # a copy makes its view of its own `c`
+        return {**self.__dict__, "_blocks_of": None, "_blocks": None}
 
 
 def _check_activation(activation: str):
@@ -68,10 +72,10 @@ def _pre_activation(w: CrosswiseWeights, x: np.ndarray) -> np.ndarray:
         raise ShapeError(
             f"crosswise input must have length {w.in_dim}, got shape {x.shape}"
         )
-    # Only the first min(N, M) columns reach an output.
-    live = min(w.in_dim, w.out_dim)
-    z = x[..., None, :live] * w.c.reshape(w.k, w.in_dim)[:, :live]
-    return z.reshape(*x.shape[:-1], w.k * live)[..., : w.out_dim] + w.b
+    if w._blocks_of is not w.c:  # only the first min(N, M) columns reach an output
+        w._blocks_of, w._blocks = w.c, w.c.reshape(w.k, w.in_dim)[:, : min(w.in_dim, w.out_dim)]
+    z = x[..., None, : w._blocks.shape[1]] * w._blocks
+    return z.reshape(*x.shape[:-1], w._blocks.size)[..., : w.out_dim] + w.b
 
 
 def crosswise_forward(w: CrosswiseWeights, x: np.ndarray, activation: str = "relu") -> np.ndarray:

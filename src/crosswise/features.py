@@ -47,6 +47,8 @@ def fwht(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     of the index, so level h = 1, 2, 4, ... pairs the same values as the
     radix-2 recursion's level h, in the same order, and the result is
     bit-identical to it.  The first level reads `v` in whatever layout it has.
+    The two halves and the two stride-2 views of each buffer's flat data are
+    made once per call, so a level is one add and one subtract on ready views.
 
     After the last level the data is laid out `(n, *lead)` in C order.  The
     result is a view of it with the transform axis moved back to the end: a
@@ -76,12 +78,15 @@ def fwht(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     pair = (out, spare) if levels % 2 and out is not v else (spare, out)
     if levels == 0 and out is not v:
         np.copyto(out, v)
+    views = [(f[:half], f[half:], f[0::2], f[1::2]) for f in (b.reshape(-1) for b in pair[:levels])]
     evens, odds = v[..., 0::2], v[..., 1::2]
     for level in range(levels):
-        flat = pair[level % 2].reshape(-1)
-        np.add(evens, odds, out=flat[:half].reshape(evens.shape))
-        np.subtract(evens, odds, out=flat[half:].reshape(evens.shape))
-        evens, odds = flat[0::2], flat[1::2]
+        sums, diffs, next_evens, next_odds = views[level % 2]
+        if not level:  # the first level reads `v` in its own layout
+            sums, diffs = sums.reshape(evens.shape), diffs.reshape(evens.shape)
+        np.add(evens, odds, out=sums)
+        np.subtract(evens, odds, out=diffs)
+        evens, odds = next_evens, next_odds
     return pair[(levels - 1) % 2].reshape(n, *v.shape[:-1]).transpose(*range(1, v.ndim), 0)
 
 
@@ -272,9 +277,10 @@ def feature_map_apply(fm: FeatureMap, x: np.ndarray) -> np.ndarray:
 
 
 def kernel_exact(x: np.ndarray, y: np.ndarray, sigma: float) -> float:
-    """Gaussian RBF kernel exp(-||x - y||^2 / (2 sigma^2))."""
-    if x.shape != y.shape:
-        raise ShapeError(f"kernel inputs differ in length ({x.shape[0]} vs {y.shape[0]})")
+    """Gaussian RBF kernel exp(-||x - y||^2 / (2 sigma^2)) of two vectors of equal length."""
+    x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    if x.ndim != 1 or x.shape != y.shape:
+        raise ShapeError(f"kernel inputs must be 1-D of equal length, got {x.shape} and {y.shape}")
     if not sigma > 0:
         raise ParameterError(f"sigma must be positive, got {sigma}")
     diff = x - y

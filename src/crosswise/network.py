@@ -190,6 +190,17 @@ class CrosswiseLayer:
         )
         return {"c": grad_c, "b": grad_b}, grad_x
 
+    def narrowed(self, n: int, need: int) -> "CrosswiseLayer":
+        """A copy on prefix views of the same parameters: its diagonal reads the first n
+        inputs (of a mixed layer, stage columns) and emits the first `need` outputs."""
+        layer, k = object.__new__(type(self)), block_count(n, need)
+        layer.__dict__.update(self.__dict__)  # a shallow copy, as `copy.copy` makes, but cheaper
+        layer.weights = CrosswiseWeights(n, need, k, self.weights.c[: k * n], self.weights.b[:need])
+        in_dim = n if self.kind == "crosswise" else self.spec.in_dim  # a stage keeps its input
+        layer.spec = LayerSpec(self.kind, in_dim, need, self.spec.activation)
+        layer.pad = self.padded_width(in_dim)
+        return layer
+
 
 class CrosswiseMixedLayer(CrosswiseLayer):
     """The crosswise layer behind a fixed isometric mixing stage.
@@ -215,27 +226,24 @@ class CrosswiseMixedLayer(CrosswiseLayer):
         self.signs = signs
         self.perm = perm
         self._scale = 1.0 / math.sqrt(self.pad)
+        self._in_signs, self._pad_zeros = signs[: spec.in_dim], signs[spec.in_dim :] * 0.0
 
     def stage(self, x: np.ndarray) -> np.ndarray:
-        """The fixed stage of each row of `x`, in `fwht`'s output layout: a batch
-        comes back as the transpose of a C-ordered `(pad, B)` array (F order),
-        and a following dense layer's product bits depend on that layout."""
+        """The stage columns that the diagonal reads (`perm[: weights.in_dim]`) of each
+        row of `x`.  A batch comes back as the transpose of a C-ordered `(columns, B)`
+        array (F order), and a following dense layer's product bits depend on that."""
         if x.shape[-1:] != (self.spec.in_dim,):
             raise ShapeError(
                 f"expected input of length {self.spec.in_dim}, got shape {x.shape}"
             )
-        n = self.spec.in_dim
-        # The sign flip and zero pad fill a C-ordered `(B, pad)` buffer, which
-        # `fwht` consumes as its scratch; the permutation then gathers whole
-        # rows of its `(pad, B)` result.
+        # The sign flip and zero pad fill a C-ordered `(B, pad)` buffer, `fwht`'s
+        # scratch; one take then gathers whole rows of its `(pad, B)` result.
         v = np.empty((*x.shape[:-1], self.pad))
-        np.multiply(self.signs[:n], x, out=v[..., :n])
-        if n != self.pad:
-            v[..., n:] = self.signs[n:] * 0.0
-        v = fwht(v, out=v)
-        u = np.take(v.transpose(-1, *range(v.ndim - 1)), self.perm, axis=0)
+        np.multiply(self._in_signs, x, out=v[..., : self.spec.in_dim])
+        v[..., self.spec.in_dim :] = self._pad_zeros
+        u = fwht(v, out=v).T.take(self.perm[: self.weights.in_dim], axis=0)
         u *= self._scale
-        return u.transpose(*range(1, u.ndim), 0)
+        return u.T
 
     # forward and backward call crosswise_forward/crosswise_backward themselves,
     # not CrosswiseLayer's methods: the benchmark tracer wraps each class's own
@@ -250,15 +258,15 @@ class CrosswiseMixedLayer(CrosswiseLayer):
         )
         g_x = None
         if input_grad:
-            # Transpose of the mixing stage: unscale, unpermute (into every slot),
-            # FWHT (symmetric), then sign-flip only the coordinates that are kept.
-            # The scatter fills a C-ordered `(B, pad)` buffer, the FWHT's scratch;
-            # the result is C-ordered, since a Fortran-ordered gradient makes the
-            # previous layer's row sums pairwise.
-            g_v = np.empty((*grad_u.shape[:-1], self.pad))
-            g_v[..., self.perm] = grad_u * self._scale
-            g_x = np.multiply(self.signs[: self.spec.in_dim],
-                              fwht(g_v, out=g_v)[..., : self.spec.in_dim], order="C")
+            # Transpose of the mixing stage: unscale, unpermute (the unread slots
+            # are zero), FWHT (symmetric), then sign-flip only the coordinates that
+            # are kept.  The scatter fills a zeroed C-ordered `(B, pad)` buffer, the
+            # FWHT's scratch; the result is C-ordered, since a Fortran-ordered
+            # gradient makes the previous layer's row sums pairwise.
+            g_v = np.zeros((*grad_u.shape[:-1], self.pad))
+            g_v[..., self.perm[: self.weights.in_dim]] = grad_u * self._scale
+            g_x = np.multiply(self._in_signs, fwht(g_v, out=g_v)[..., : self.spec.in_dim],
+                              order="C")
         return {"c": grad_c, "b": grad_b}, g_x
 
 
@@ -438,8 +446,8 @@ def _stepped_network(net: Network, features: np.ndarray):
     """(network, rows, staged): what `train_network` steps, and on which rows.
 
     Walking back from the output, each diagonal layer keeps the outputs its
-    consumer reads, and a plain one only the inputs those need.  Dense layers,
-    mixing stages and a plain layer fed by a dense one keep their width.
+    consumer reads, and its diagonal only the inputs those need.  Dense layers,
+    stage inputs and a plain layer fed by a dense one keep their width.
     """
     layers, need = list(net.layers), net.out_dim
     staged = layers[0].kind == "crosswise_mixed"
@@ -450,23 +458,15 @@ def _stepped_network(net: Network, features: np.ndarray):
             layer = CrosswiseLayer(LayerSpec("crosswise", layer.pad, layer.spec.out_dim,
                                              layer.spec.activation), layer.weights)
         if layer.kind != "dense":
-            n = layer.pad
-            if layer.kind == "crosswise" and (i == 0 or layers[i - 1].kind != "dense"):
-                # Two columns at least: NumPy sums the rows of a one-column
-                # operand pairwise, not one after another as in a wider one.
-                n = min(n, max(need, 2))
-                # A producer whose input gradient is read keeps its k blocks:
-                # NumPy sums 8 or more of them pairwise, so fewer round differently.
-                if i > 1 and block_count(layers[i - 1].pad, n) != layers[i - 1].weights.k:
-                    n = layer.pad
-            if (n, need) != (layer.pad, layer.spec.out_dim):
-                k = block_count(n, need)
-                w = CrosswiseWeights(n, need, k, layer.weights.c[: k * n], layer.weights.b[:need])
-                plain = layer.kind == "crosswise"
-                spec = LayerSpec(layer.kind, n if plain else layer.spec.in_dim, need,
-                                 layer.spec.activation)
-                layer = (CrosswiseLayer(spec, w) if plain
-                         else CrosswiseMixedLayer(spec, w, layer.signs, layer.perm))
+            # Two columns at least: NumPy sums a one-column operand's rows pairwise, not
+            # one after another.  A plain layer's inputs are its producer's outputs: a
+            # dense producer keeps them all, and one whose input gradient is read its k
+            # blocks (NumPy sums 8 or more of them pairwise, so fewer round differently).
+            n = min(layer.pad, max(need, 2))
+            if layer.kind == "crosswise" and i > 0 and (layers[i - 1].kind == "dense" or (
+                    i > 1 and block_count(layers[i - 1].pad, n) != layers[i - 1].weights.k)):
+                n = layer.pad
+            layer = layer.narrowed(n, need)
         layers[i], need = layer, layer.spec.in_dim
     return Network(net.spec, layers), features[:, :need], staged
 
@@ -482,11 +482,11 @@ def train_network(net: Network, cfg: TrainConfig, data, threads: int = 1) -> lis
 
     A first `crosswise_mixed` layer's stage is fixed and nothing reads its
     input gradient, so the stage runs once per call on all rows, and a plain
-    crosswise layer sharing its weights steps on the staged rows.  A plain
-    N->M layer with M < N reads only its first M inputs, so the units behind
-    the other N - M are dead: their coefficients get zero gradients only.  The
-    mini-batches and accuracy passes compute only the live units, in layers
-    built on prefix views of the same parameters, so the bits are unchanged.
+    crosswise layer sharing its weights steps on the staged rows.  An N->M
+    diagonal with M < N reads only its first M inputs (of a mixed layer, stage
+    columns), so the units behind the other N - M are dead: their coefficients
+    get zero gradients only.  The mini-batches and accuracy passes compute only
+    the live units, on prefix views of the same parameters; the bits are unchanged.
     """
     if threads < 1:
         raise ParameterError(f"threads must be >= 1, got {threads}")

@@ -1,5 +1,8 @@
 """The diagonal-weight layer against its dense-embedded twin and finite differences."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -69,6 +72,33 @@ def test_forward_matches_dense_twin_many_seeds():
         np.testing.assert_allclose(
             crosswise_forward(w, x, "identity"), pre, atol=1e-12
         )
+
+
+@pytest.mark.parametrize("m", (3, 5, 8))
+def test_forward_reads_the_coefficients_it_is_given(m):
+    """The forward keeps a view of `c`.  A rebound `c`, an in-place step and
+    the coefficients of a copy or an unpickled object are all read as given,
+    bit for bit as by weights built afresh from them (M < N, M > N with a cut
+    block, M = kN)."""
+    w = init_crosswise(1, 4, m)
+    x = CounterRng(2).uniform(4, -1, 1)
+
+    def assert_reads_its_own(w):
+        fresh = CrosswiseWeights(4, m, w.k, w.c.copy(), w.b.copy())
+        assert crosswise_forward(w, x, "identity").tobytes() == \
+            crosswise_forward(fresh, x, "identity").tobytes()
+
+    assert_reads_its_own(w)
+    w.c = CounterRng(3).uniform(w.c.size, -1, 1)
+    assert_reads_its_own(w)
+    w.c -= 0.25
+    assert_reads_its_own(w)
+    shallow = copy.copy(w)
+    shallow.c = shallow.c * 2.0  # it shared `w`'s array
+    for twin in (shallow, copy.deepcopy(w), pickle.loads(pickle.dumps(w))):
+        twin.c *= 3.0
+        assert_reads_its_own(twin)
+    assert_reads_its_own(w)
 
 
 def test_forward_shape_and_activation_errors():

@@ -1,3 +1,4 @@
+import re
 import sys
 import threading
 import tracemalloc
@@ -291,6 +292,28 @@ def test_kernel_exact():
         kernel_exact(np.zeros(3), np.zeros(4), 1.0)
     with pytest.raises(ParameterError):
         kernel_exact(x, y, 0.0)
+
+
+@pytest.mark.parametrize("x, y", [
+    ([0.0, 1.0], [1.0, 0.0]),
+    ((0.5,), np.array([0.5])),
+])
+def test_kernel_exact_takes_array_likes(x, y):
+    assert kernel_exact(x, y, 1.0) == kernel_exact(np.array(x), np.array(y), 1.0)
+
+
+@pytest.mark.parametrize("x, y", [
+    (np.float64(1.0), np.zeros(3)),              # a scalar against a vector
+    (np.zeros(3), 2.0),
+    (np.float64(1.0), np.float64(1.0)),          # two scalars
+    (np.zeros((2, 3)), np.zeros((2, 3))),        # equal 2-D arrays
+    ([[0.0, 1.0]], [[0.0, 1.0]]),
+    (np.zeros(3), np.zeros(4)),
+    ([0.0, 1.0], [0.0, 1.0, 2.0]),
+])
+def test_kernel_exact_refuses_all_but_two_vectors_of_one_length(x, y):
+    with pytest.raises(ShapeError, match=re.escape(f"{np.shape(x)} and {np.shape(y)}")):
+        kernel_exact(x, y, 1.0)
 
 
 def test_pair_error_at_4096_features():

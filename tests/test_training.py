@@ -18,13 +18,16 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from crosswise.datasets import Dataset, gen_blobs
+from crosswise.diagonal import init_crosswise
 from crosswise.network import (
     LAYER_KINDS,
+    CrosswiseMixedLayer,
     DenseLayer,
     LayerSpec,
     Network,
     NetworkSpec,
     TrainConfig,
+    _stepped_network,
     build_network,
     loss_eval,
     model_to_json,
@@ -243,3 +246,78 @@ def test_training_does_not_depend_on_the_feature_layout(stack, batch):
         runs.add((json.dumps(model_to_json(net)),
                   tuple((r.train_loss, r.train_accuracy) for r in history)))
     assert len(runs) == 1
+
+
+# Mixed heads (in -> out) whose diagonal reads fewer stage columns than the
+# stage makes (M < pad), all of them (M = pad), and k = 3 blocks of them.
+MIXED_HEADS = {"M<pad": (12, 3), "M=pad": (12, 16), "k>1": (6, 20)}
+
+
+@pytest.mark.parametrize("batch", (1, 7, 32))
+@pytest.mark.parametrize("lead", (False, True))
+@pytest.mark.parametrize("producer", LAYER_KINDS)
+@pytest.mark.parametrize("head", sorted(MIXED_HEADS))
+def test_train_network_equals_reference_loop_with_a_mixed_head(head, producer, lead, batch):
+    """Training steps only the stage columns a mixed head's diagonal reads; the
+    head's input gradient, read by its producer (and, with a dense lead layer,
+    by the producer's own producer), keeps its bits.  39 to 48 rows, so batches
+    of 7 and 32 end with a partial one."""
+    n, m = MIXED_HEADS[head]
+    layers = (LayerSpec(producer, 10, n), LayerSpec("crosswise_mixed", n, m, "softmax_output"))
+    if lead:
+        layers = (LayerSpec("dense", 10, 10),) + layers
+    data = gen_blobs(seed=m, samples_per_class=-(-39 // m), dims=10, class_count=m, spread=0.5)
+    _assert_equals_reference_loop(NetworkSpec(layers=layers, seed=5),
+                                  TrainConfig(0.05, 2, batch, "cross_entropy", 8), data)
+
+
+def test_a_mixed_head_is_stepped_on_the_stage_columns_it_reads():
+    """The 64->256->4 mixed net of the benchmark: the 256->4 head's diagonal
+    reads 4 of its 256 stage columns, so the stepped head gathers only those,
+    on a prefix view of the model's own coefficients."""
+    spec = NetworkSpec(layers=(LayerSpec("crosswise_mixed", 64, 256),
+                               LayerSpec("crosswise_mixed", 256, 4, "softmax_output")), seed=1)
+    net = build_network(spec)
+    stepped, rows, staged = _stepped_network(net, np.ones((5, 64)))
+    head = stepped.layers[1]
+    assert (head.kind, head.spec.in_dim, head.pad) == ("crosswise_mixed", 256, 256)
+    assert (head.weights.in_dim, head.weights.out_dim, head.weights.c.size) == (4, 4, 4)
+    assert np.shares_memory(head.weights.c, net.layers[1].weights.c)
+    assert head.stage(np.ones((5, 256))).shape == (5, 4)
+    assert staged and rows.shape == (5, 64)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_a_dead_stage_column_that_overflows_keeps_its_coefficient():
+    """The documented exception: the 8->2 mixed head reads stage columns 0 and 1.
+    The dense layer feeds it rows of two equal huge values, so the even rows of
+    the transform overflow to inf and the odd rows cancel; the permutation sends
+    odd rows to columns 0 and 1.  In one step, the reference loop's gradient
+    writes 0 * inf = NaN into the coefficients of the overflowing dead columns;
+    training leaves them unchanged.  Everything else is bit-identical."""
+    specs = (LayerSpec("dense", 1, 8, "identity"),
+             LayerSpec("crosswise_mixed", 8, 2, "softmax_output"))
+    rng = CounterRng(4, stream=3)
+    w = np.zeros((8, 1))
+    w[:2] = 1.7e308
+    data = Dataset(features=rng.uniform(16, 0.6, 1.0).reshape(16, 1),
+                   labels=np.arange(16) % 2, class_count=2)
+
+    def built():
+        dense = DenseLayer(specs[0], w.copy(), np.zeros(8))
+        head = CrosswiseMixedLayer(specs[1], init_crosswise(4, 8, 2), np.ones(8),
+                                   np.array([1, 3, 0, 2, 4, 5, 6, 7]))
+        return Network(NetworkSpec(layers=specs, seed=4), [dense, head])
+
+    cfg = TrainConfig(0.05, 1, 16, "cross_entropy", 4)  # one step
+    net, reference, initial = built(), built(), built().layers[1].weights.c
+    history = [(r.train_loss, r.train_accuracy) for r in train_network(net, cfg, data)]
+    assert history == _reference_train(reference, cfg, data)
+    trained, expected = net.layers[1].weights.c, reference.layers[1].weights.c
+    dead = np.isnan(expected)
+    np.testing.assert_array_equal(dead, [False, False, True, True, True, False, True, False])
+    assert trained[dead].tobytes() == initial[dead].tobytes()
+    assert trained[~dead].tobytes() == expected[~dead].tobytes()
+    assert net.layers[1].weights.b.tobytes() == reference.layers[1].weights.b.tobytes()
+    assert net.layers[0].w.tobytes() == reference.layers[0].w.tobytes()
