@@ -105,8 +105,8 @@ class McKernelBlock:
     def __post_init__(self):
         if self.n < 1 or (self.n & (self.n - 1)) != 0:
             raise ParameterError(f"n must be a power of two, got {self.n}")
-        if not self.sigma > 0:
-            raise ParameterError(f"sigma must be positive, got {self.sigma}")
+        if not (self.sigma > 0 and math.isfinite(self.sigma)):
+            raise ParameterError(f"sigma must be positive and finite, got {self.sigma}")
         self.b_signs = np.asarray(self.b_signs, dtype=np.float64)
         self.perm = np.asarray(self.perm, dtype=np.int64)
         self.g_diag = np.asarray(self.g_diag, dtype=np.float64)
@@ -122,7 +122,7 @@ class McKernelBlock:
 
 
 # Box-Muller pairs in flight in the chi(n) draw, split in whole rows across its workers.
-_CHI_CHUNK_PAIRS = 2 ** 15
+_CHI_CHUNK_PAIRS = 2 ** 16
 
 
 def _sample_workers() -> int:
@@ -139,36 +139,38 @@ def sample_block(seed: int, d: int, sigma: float) -> McKernelBlock:
     norm of the Gaussian scaling vector.  The n*n normals are drawn in chunks of
     whole rows on a thread pool: O(n + chunk) memory, and no bit depends on the pool.
     """
-    if d < 1:
-        raise ParameterError(f"input dimension must be >= 1, got {d}")
-    if not sigma > 0:
-        raise ParameterError(f"sigma must be positive, got {sigma}")
+    if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d < 1:
+        raise ParameterError(f"input dimension must be an integer >= 1, got {d!r}")
+    if not (sigma > 0 and math.isfinite(sigma)):
+        raise ParameterError(f"sigma must be positive and finite, got {sigma}")
     n = next_power_of_two(d)
     rng = CounterRng(seed, stream=0)
     b_signs = rng.rademacher(n)
     perm = rng.permutation(n)
     g_diag = rng.normal(n)
-    # Row i < n/2 of the matrix is the cos branch of pairs [i*n, (i+1)*n) and
-    # row n/2 + i the sin branch of the same pairs.  At n = 1 the one row is
-    # the cos branch of the one pair; its sin branch lands in norms[1], unused.
+    # Row i < n/2 of the matrix (its sum of squares: sums[0, i]) is the cos branch of pairs
+    # [i*n, (i+1)*n) and row n/2 + i (sums[1, i]) the sin branch of the same pairs.  At n = 1
+    # the one row is the cos branch of the one pair; its sin branch lands in sums[1, 0], unused.
     pairs = (n * n + 1) // 2
     draw, rows = rng.normal_pairs(n * n), max(1, _CHI_CHUNK_PAIRS // n)
     workers = min(_sample_workers(), -(-pairs // (rows * n)))
-    size, norms = max(1, rows // workers) * n, np.empty(2 * pairs // n)
+    size, sums = max(1, rows // workers) * n, np.empty((2, pairs // n))
 
-    def fill_norms(first):  # the chunks first, first + workers, ...
+    def fill_sums(first):  # the chunks first, first + workers, ...
+        buffer = np.empty((2, size))  # this worker's only buffer: every chunk is drawn into it
         for start in range(first * size, pairs, workers * size):
-            for offset, part in zip((start, pairs + start), draw(start, min(size, pairs - start))):
-                norms[offset // n : (offset + part.size) // n] = np.linalg.norm(
-                    part.reshape(-1, n), axis=1)
+            part = buffer[:, : pairs - start]  # all of it, but for a short last chunk
+            np.square(draw(start, part.shape[1], out=part), out=part)
+            np.add.reduce(part.reshape(2, -1, n), axis=2,
+                          out=sums[:, start // n : (start + part.shape[1]) // n])
 
     # This thread and workers - 1 helpers (none for one) run in parallel: ufuncs release the GIL.
     from concurrent.futures import ThreadPoolExecutor  # not paid by `import crosswise`
     with ThreadPoolExecutor(max(1, workers - 1)) as pool:
-        helpers = pool.map(fill_norms, range(1, workers))
-        fill_norms(0)
+        helpers = pool.map(fill_sums, range(1, workers))
+        fill_sums(0)
         list(helpers)
-    c_diag = norms[:n] / np.linalg.norm(g_diag)
+    c_diag = np.sqrt(sums.reshape(-1)[:n]) / np.linalg.norm(g_diag)
     return McKernelBlock(n=n, sigma=sigma, b_signs=b_signs, perm=perm,
                          g_diag=g_diag, c_diag=c_diag, seed=seed)
 
@@ -242,8 +244,9 @@ class FeatureMap:
 
 def sample_feature_map(seed: int, d: int, sigma: float, block_count: int) -> FeatureMap:
     """Draw `block_count` i.i.d. blocks; block i uses the child seed derive_seed(seed, i)."""
-    if block_count < 1:
-        raise ParameterError(f"block_count must be >= 1, got {block_count}")
+    if isinstance(block_count, bool) or not isinstance(block_count, (int, np.integer)) \
+            or block_count < 1:
+        raise ParameterError(f"block_count must be an integer >= 1, got {block_count!r}")
     blocks = tuple(
         sample_block(derive_seed(seed, i), d, sigma) for i in range(block_count)
     )

@@ -21,7 +21,8 @@ derived floating-point draws use the fixed conversions below:
   2*ceil(n/2) words are consumed: the first half give u1 = ((w >> 11)+1)*2^-53
   in (0, 1], the second half give u2 = (w >> 11)*2^-53 in [0, 1), and the
   output is [r*cos(2*pi*u2) for all pairs] followed by [r*sin(2*pi*u2)],
-  r = sqrt(-2 ln u1), truncated to n values.
+  r = sqrt(-2 ln u1), truncated to n values.  One in-place routine makes every
+  normal, for normal() and for normal_pairs()' ranges alike.
 * sign flip (+1/-1):   +1.0 if bit 0 of the word is set, else -1.0
 * integer in [lo, hi): lo + word mod (hi - lo)   (modulo bias is negligible
   for the ranges used here, all far below 2^32)
@@ -71,9 +72,8 @@ def derive_seed(seed: int, label: int) -> int:
     return mix64(mix64(seed & _MASK64) ^ ((label * _DERIVE_SALT) & _MASK64) ^ _GOLDEN)
 
 
-def _mix64_inplace(z: np.ndarray) -> np.ndarray:
-    """mix64 of every element of the uint64 array z, overwriting z."""
-    shifted = np.empty_like(z)
+def _mix64_inplace(z: np.ndarray, shifted: np.ndarray) -> np.ndarray:
+    """mix64 of every element of the uint64 array z, overwriting z; `shifted` is scratch."""
     z ^= np.right_shift(z, np.uint64(30), out=shifted)
     z *= np.uint64(0xBF58476D1CE4E5B9)
     z ^= np.right_shift(z, np.uint64(27), out=shifted)
@@ -82,13 +82,29 @@ def _mix64_inplace(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _box_muller(w1: np.ndarray, w2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(r*cos(theta), r*sin(theta)) of the pairs (w1[j], w2[j]); see the module docstring."""
-    u1 = ((w1 >> np.uint64(11)).astype(np.float64) + 1.0) * _INV_2_53
-    u2 = (w2 >> np.uint64(11)).astype(np.float64) * _INV_2_53
-    r = np.sqrt(-2.0 * np.log(u1))
-    theta = (2.0 * math.pi) * u2
-    return r * np.cos(theta), r * np.sin(theta)
+def _count(count, what: str) -> int:
+    """`count` as an int, if it is a non-negative integer (a bool is not); else ValueError."""
+    if isinstance(count, (bool, np.bool_)) or not isinstance(count, (int, np.integer)) or count < 0:
+        raise ValueError(f"{what} must be a non-negative integer, got {count!r}")
+    return int(count)
+
+
+def _box_muller(out: np.ndarray) -> np.ndarray:
+    """Turn the rows of the float64 (2, m) `out`, holding the words w1 and w2 of m pairs as
+    uint64 bits, into r*cos(theta) and r*sin(theta), writing only into `out` and r.  theta
+    is (w2 >> 11) * (2*pi*2^-53), bit for bit 2*pi*u2: the product of the constants is exact.
+    """
+    w1, w2 = out.view(np.uint64)
+    r = np.right_shift(w1, np.uint64(11), out=w1).astype(np.float64)
+    np.multiply(np.add(r, 1.0, out=r), _INV_2_53, out=r)
+    np.sqrt(np.multiply(np.log(r, out=r), -2.0, out=r), out=r)
+    theta = out[0]
+    np.copyto(theta, np.right_shift(w2, np.uint64(11), out=w2))
+    theta *= 2.0 * math.pi * _INV_2_53
+    np.sin(theta, out=out[1])
+    np.cos(theta, out=theta)
+    out *= r
+    return out
 
 
 class CounterRng:
@@ -97,44 +113,48 @@ class CounterRng:
     def __init__(self, seed: int, stream: int = 0):
         self.seed = seed
         self.stream = stream
-        self._key = np.uint64(stream_key(seed, stream))
+        self._key = stream_key(seed, stream)
         self._counter = 0
 
-    def words(self, count: int) -> np.ndarray:
-        """Next `count` 64-bit words as a uint64 array."""
-        if count < 0:
-            raise ValueError(f"word count must be >= 0, got {count}")
-        z = np.arange(self._counter, self._counter + count, dtype=np.uint64)
+    def words(self, count: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Next `count` 64-bit words as a uint64 array: `out`, a uint64 (count,) array, if given."""
+        count = _count(count, "word count")
+        # The counter offsets 0..count-1, then mix64's scratch.
+        shifted = np.arange(count, dtype=np.uint64)
+        z = np.multiply(shifted, _U64_GOLDEN, out=out)
+        z += np.uint64((self._key + self._counter * _GOLDEN) & _MASK64)
         self._counter += count
-        z *= _U64_GOLDEN
-        z += self._key
-        return _mix64_inplace(z)
+        return _mix64_inplace(z, shifted)
 
     def uniform(self, count: int, low: float = 0.0, high: float = 1.0) -> np.ndarray:
         u = (self.words(count) >> np.uint64(11)).astype(np.float64) * _INV_2_53
         return low + (high - low) * u
 
     def normal(self, count: int) -> np.ndarray:
-        half = (count + 1) // 2
-        w = self.words(2 * half)
-        return np.concatenate(_box_muller(w[:half], w[half:]))[:count]
+        half = (_count(count, "normal count") + 1) // 2
+        words = self.words(2 * half).view(np.float64).reshape(2, half)  # the Box-Muller buffer
+        return _box_muller(words).reshape(-1)[:count]
 
-    def normal_pairs(self, count: int) -> Callable[[int, int], tuple[np.ndarray, np.ndarray]]:
-        """Move past the words of normal(count); return draw(start, size) of its pairs.
+    def normal_pairs(self, count: int) -> Callable[..., np.ndarray]:
+        """Move past the words of normal(count); return draw(start, size, out=None) of its pairs.
 
-        draw gives the (cos part, sin part) of Box-Muller pairs [start, start + size)
-        from two fresh cursors, a pure function of this cursor's position, count, start
-        and size; normal(count) is all cos parts, then all sin parts, truncated to count.
+        draw gives the (2, size) cos parts and sin parts of Box-Muller pairs [start, start +
+        size), in `out` (float64, contiguous rows) if given: a pure function of this cursor's
+        position, count, start and size.  normal(count) is all cos parts, then all sin parts,
+        truncated to count.
         """
-        half = (count + 1) // 2
+        half = (_count(count, "normal count") + 1) // 2
         base, self._counter = self._counter, self._counter + 2 * half
 
-        def draw(start: int, size: int) -> tuple[np.ndarray, np.ndarray]:
+        def draw(start: int, size: int, out: np.ndarray | None = None) -> np.ndarray:
             if not 0 <= start <= start + size <= half:
                 raise ValueError(f"pairs [{start}, {start + size}) outside [0, {half})")
-            first, second = CounterRng(self.seed, self.stream), CounterRng(self.seed, self.stream)
-            first._counter, second._counter = base + start, base + half + start
-            return _box_muller(first.words(size), second.words(size))
+            out = np.empty((2, size)) if out is None else out
+            for row, first in zip(out.view(np.uint64), (base + start, base + half + start)):
+                cursor = CounterRng(self.seed, self.stream)
+                cursor._counter = first
+                cursor.words(size, out=row)
+            return _box_muller(out)
 
         return draw
 
@@ -149,6 +169,7 @@ class CounterRng:
         return (self.words(count) % span).astype(np.int64) + low
 
     def permutation(self, n: int) -> np.ndarray:
+        n = _count(n, "permutation length")
         perm = list(range(n))
         if n > 1:
             # One array operation takes every modulus (i + 1); the swaps run on

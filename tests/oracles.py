@@ -209,23 +209,57 @@ def dense_gaussian_features(seed, rows, dim, sigma):
     return phi
 
 
+def splitmix64(z):
+    """The SplitMix64 finalizer of the rng module docstring, over a uint64 array."""
+    z = np.asarray(z, dtype=np.uint64)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def counter_words(seed, stream, start, count):
+    """Words [start, start + count) of the (seed, stream) stream, from the documented
+    key(seed, stream) and word(seed, stream, counter); uint64 arithmetic wraps mod 2^64."""
+    salted = np.array([stream * 0xD2B74407B1CE6E93 % 2 ** 64], dtype=np.uint64)
+    key = splitmix64(splitmix64(np.array([seed], dtype=np.uint64)) ^ salted)
+    counters = np.arange(start, start + count, dtype=np.uint64)
+    return splitmix64(key + counters * np.uint64(0x9E3779B97F4A7C15))
+
+
+def box_muller_normals(seed, stream, start, count):
+    """`count` normals from a cursor at word `start`, written from the rng module
+    docstring: u1 from the first half of 2*ceil(count/2) words, u2 from the second,
+    r = sqrt(-2 ln u1), theta = 2 pi u2; all r cos(theta), then all r sin(theta)."""
+    half = (count + 1) // 2
+    w = counter_words(seed, stream, start, 2 * half)
+    u1 = ((w[:half] >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0 ** -53
+    u2 = (w[half:] >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+    r = np.sqrt(-2.0 * np.log(u1))
+    theta = 2.0 * math.pi * u2
+    return np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:count]
+
+
 def dense_sample_block(seed, d):
     """The factors (b_signs, perm, g_diag, c_diag) of a block, drawn the direct way.
 
-    Materializes all n*n normals of the chi(n) draw as one n x n matrix and
-    takes its row norms: O(n^2) memory, the reference for the streamed draw.
+    Every draw is made from `counter_words` in the documented order on stream 0:
+    n sign flips, the n - 1 Fisher-Yates words, n normals, then all n*n normals
+    of the chi(n) draw as one n x n matrix whose row norms are taken: O(n^2)
+    memory, the reference for the streamed draw.
     """
-    from crosswise.rng import CounterRng
-
     n = 1
     while n < d:
         n *= 2
-    rng = CounterRng(seed, stream=0)
-    b_signs = rng.rademacher(n)
-    perm = rng.permutation(n)
-    g_diag = rng.normal(n)
-    s = np.linalg.norm(rng.normal(n * n).reshape(n, n), axis=1)
-    return b_signs, perm, g_diag, s / np.linalg.norm(g_diag)
+    b_signs = np.where(counter_words(seed, 0, 0, n) & np.uint64(1), 1.0, -1.0)
+    perm = list(range(n))
+    for i, word in zip(range(n - 1, 0, -1), counter_words(seed, 0, n, n - 1).tolist()):
+        j = word % (i + 1)
+        perm[i], perm[j] = perm[j], perm[i]
+    start = n + n - 1
+    g_diag = box_muller_normals(seed, 0, start, n)
+    start += 2 * ((n + 1) // 2)
+    s = np.linalg.norm(box_muller_normals(seed, 0, start, n * n).reshape(n, n), axis=1)
+    return b_signs, np.array(perm, dtype=np.int64), g_diag, s / np.linalg.norm(g_diag)
 
 
 def fisher_yates(seed, stream, n):

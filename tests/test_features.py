@@ -1,3 +1,4 @@
+import math
 import re
 import sys
 import threading
@@ -188,6 +189,54 @@ def test_sample_block_validation():
         sample_block(0, 4, 0.0)
     with pytest.raises(ParameterError):
         sample_block(0, 4, -2.0)
+
+
+# The tracemalloc peak of an n=1024 block at the previous, out-of-place draw,
+# with two workers: 2,536,888 bytes (2.42 MB).  The draw may not use more.
+SAMPLE_PEAK_BOUND = 1.1 * 2_536_888
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_sample_block_memory_at_n_1024(monkeypatch, workers):
+    """The chi(n) draw writes into one (2, size) buffer per worker; a block's peak
+    stays within 10% of the out-of-place draw's (about 1.5 MB against 2.4 MB)."""
+    monkeypatch.setattr(features, "_sample_workers", lambda: workers)
+    sample_block(1, 1024, 1.0)  # the pool's first use imports concurrent.futures
+    tracemalloc.start()
+    try:
+        sample_block(0, 1024, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= SAMPLE_PEAK_BOUND
+
+
+@pytest.mark.parametrize("d, sigma", [(5.5, 1.0), (8.0, 1.0), (True, 1.0), ("8", 1.0),
+                                      (8, math.inf), (8, -math.inf), (8, math.nan)])
+def test_sample_block_refuses_fractional_d_and_infinite_sigma(d, sigma):
+    with pytest.raises(ParameterError):
+        sample_block(0, d, sigma)
+
+
+def test_block_refuses_infinite_sigma():
+    factors = dict(n=2, b_signs=[1.0, -1.0], perm=[1, 0], g_diag=[0.5, 1.0], c_diag=[1.0, 2.0],
+                   seed=0)
+    for sigma in (math.inf, math.nan):
+        with pytest.raises(ParameterError):
+            features.McKernelBlock(sigma=sigma, **factors)
+
+
+@pytest.mark.parametrize("block_count", [2.0, 1.5, True, "2"])
+def test_sample_feature_map_refuses_non_integer_block_count(block_count):
+    with pytest.raises(ParameterError):
+        sample_feature_map(0, 8, 1.0, block_count)
+
+
+def test_sampling_accepts_numpy_integers():
+    fm = sample_feature_map(0, np.int64(5), 1.0, np.int32(2))
+    twin = sample_feature_map(0, 5, 1.0, 2)
+    for got, want in zip(fm.blocks, twin.blocks):
+        np.testing.assert_array_equal(got.c_diag, want.c_diag)
 
 
 def test_apply_zhat_matches_dense_assembly():

@@ -1,5 +1,7 @@
 """The word stream is a portability contract: freeze it hard."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 
 from crosswise.rng import CounterRng, derive_seed, mix64, word_at
 
-from oracles import fisher_yates
+from oracles import box_muller_normals, fisher_yates
 
 # Frozen outputs of the documented (seed, stream, counter) -> word mapping.
 # If any of these move, every seeded artifact in the project silently changes.
@@ -173,3 +175,66 @@ def test_normal_pairs_moves_cursor_before_iteration():
     for start, size in ((0, 7), (6, 1), (-1, 1), (2, -1)):
         with pytest.raises(ValueError):
             draw(start, size)
+
+
+@pytest.mark.parametrize("count", [*range(70), 4097])
+def test_normal_matches_box_muller_oracle(count):
+    """normal(count) is the docstring's Box-Muller, bit for bit, from any cursor position."""
+    for seed, stream, skip in ((0, 0, 0), (21, 3, 7), (2 ** 64 - 1, 5, 1)):
+        rng = CounterRng(seed, stream)
+        rng.words(skip)
+        np.testing.assert_array_equal(rng.normal(count),
+                                      box_muller_normals(seed, stream, skip, count))
+
+
+# Frozen normal(count) entries [0, 1, count // 2, count - 1]; as with the frozen
+# c_diag, the tolerance only absorbs the last bits of the platform's cos/sin/log.
+FROZEN_NORMALS = [
+    (0, 0, 7, [8.428617911692298, 0.39102045903839555, 1.2408277760854276, 1.1464429393440558]),
+    (42, 7, 5, [0.361501766724999, -0.906110804073886, 0.5004446279304962, 0.8058300940401852]),
+    (2 ** 64 - 1, 3, 4097,
+     [-0.731720857753342, -0.11190430083379459, 0.18531420041355348, -1.251345695055768]),
+]
+
+
+@pytest.mark.parametrize("seed, stream, count, expected", FROZEN_NORMALS)
+def test_frozen_normal_values(seed, stream, count, expected):
+    z = CounterRng(seed, stream).normal(count)
+    np.testing.assert_allclose(z[[0, 1, count // 2, count - 1]], expected, rtol=1e-13, atol=0)
+
+
+# (method, count, further arguments): fractions, negatives, bools and strings.
+BAD_COUNTS = [
+    ("words", 2.5, ()), ("words", -1, ()), ("words", True, ()),
+    ("permutation", -2, ()), ("permutation", 2.0, ()),
+    ("normal", -3, ()), ("normal", 3.0, ()), ("normal_pairs", -1, ()),
+    ("rademacher", True, ()), ("uniform", "4", ()), ("integers", np.bool_(False), (0, 3)),
+]
+
+
+@pytest.mark.parametrize("method, count, args", BAD_COUNTS)
+def test_bad_count_refused_before_the_cursor_moves(method, count, args):
+    """A count that is not a non-negative integer raises ValueError naming it,
+    and the next draw is the one a fresh cursor makes."""
+    rng = CounterRng(9, stream=2)
+    with pytest.raises(ValueError, match=re.escape(repr(count))):
+        getattr(rng, method)(count, *args)
+    np.testing.assert_array_equal(rng.words(4), CounterRng(9, stream=2).words(4))
+
+
+def test_numpy_integer_counts_accepted():
+    for count in (np.int64(5), np.uint8(5)):
+        np.testing.assert_array_equal(CounterRng(3).normal(count), CounterRng(3).normal(5))
+        np.testing.assert_array_equal(CounterRng(3).permutation(count),
+                                      CounterRng(3).permutation(5))
+        np.testing.assert_array_equal(CounterRng(3).words(count), CounterRng(3).words(5))
+
+
+def test_words_and_draw_fill_out():
+    """words(count, out=) and draw(start, size, out=) write into and return `out`."""
+    buffer = np.empty(6, dtype=np.uint64)
+    assert CounterRng(4).words(6, out=buffer) is buffer
+    np.testing.assert_array_equal(buffer, CounterRng(4).words(6))
+    pairs = np.empty((2, 5))
+    assert CounterRng(4).normal_pairs(10)(0, 5, out=pairs) is pairs
+    np.testing.assert_array_equal(pairs.reshape(-1), CounterRng(4).normal(10))
