@@ -25,6 +25,7 @@ from .errors import (
     ShapeError,
     expect_int,
     expect_keys as _expect_keys,
+    expect_positive,
 )
 from .features import kernel_exact, feature_map_apply, sample_feature_map
 from .network import (
@@ -224,12 +225,9 @@ def _parse_block_counts(text: str) -> list:
 
 
 def cmd_kernel_check(args) -> int:
-    if args.pairs < 1:
-        raise ParameterError(f"--pairs must be positive, got {args.pairs}")
-    if args.d < 1:
-        raise ParameterError(f"--d must be positive, got {args.d}")
-    if not args.sigma > 0:
-        raise ParameterError(f"--sigma must be positive, got {args.sigma}")
+    expect_int(args.pairs, "--pairs", ParameterError, 1)
+    expect_int(args.d, "--d", ParameterError, 1)
+    expect_positive(args.sigma, "--sigma")
     blocks = _parse_block_counts(args.blocks)
 
     rng = CounterRng(args.seed, stream=0)

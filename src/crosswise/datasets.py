@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, SamplingError, ShapeError
+from .errors import ParameterError, SamplingError, ShapeError, expect_int, expect_positive
 from .rng import CounterRng
 
 
@@ -37,8 +37,7 @@ class Dataset:
             raise ParameterError(
                 f"features must be finite, got {self.features[row, col]} at row {row}, column {col}"
             )
-        if self.class_count < 0:
-            raise ParameterError(f"class_count must be >= 0, got {self.class_count}")
+        expect_int(self.class_count, "class_count", ParameterError, 0)
         if self.class_count > 0:
             whole = np.isfinite(self.labels) & (self.labels == np.trunc(self.labels))
             if not whole.all():
@@ -75,13 +74,10 @@ def gen_blobs(seed: int, samples_per_class: int, dims: int, class_count: int,
     radius 3); point noise comes from stream 0 as one batch of samples*dims
     normals.  spread=0 collapses every class onto its center.
     """
-    if samples_per_class < 1 or dims < 1 or class_count < 1:
-        raise ParameterError(
-            "samples_per_class, dims and class_count must all be positive, got "
-            f"{samples_per_class}, {dims}, {class_count}"
-        )
-    if spread < 0:
-        raise ParameterError(f"spread must be >= 0, got {spread}")
+    for name, value in (("samples_per_class", samples_per_class), ("dims", dims),
+                        ("class_count", class_count)):
+        expect_int(value, name, ParameterError, 1)
+    expect_positive(spread, "spread", zero=True)
     raw = CounterRng(seed, stream=1).normal(class_count * dims).reshape(class_count, dims)
     norms = np.linalg.norm(raw, axis=1)
     if np.any(norms < 1e-12):
@@ -96,10 +92,8 @@ def gen_blobs(seed: int, samples_per_class: int, dims: int, class_count: int,
 
 def gen_xor(seed: int, samples: int, noise: float) -> Dataset:
     """2-d XOR task: label 1 iff x*y > 0 on the clean coordinates."""
-    if samples < 4:
-        raise ParameterError(f"samples must be >= 4, got {samples}")
-    if noise < 0:
-        raise ParameterError(f"noise must be >= 0, got {noise}")
+    expect_int(samples, "samples", ParameterError, 4)
+    expect_positive(noise, "noise", zero=True)
     rng = CounterRng(seed, stream=0)
     points = rng.uniform(2 * samples, -1.0, 1.0).reshape(samples, 2)
     labels = (points[:, 0] * points[:, 1] > 0).astype(np.int64)

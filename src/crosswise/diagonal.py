@@ -15,15 +15,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, ShapeError
+from .errors import ParameterError, ShapeError, expect_int
 from .rng import CounterRng
 
 ACTIVATIONS = ("relu", "identity")
 
 
 def block_count(in_dim: int, out_dim: int) -> int:
-    """Number of stacked diagonal blocks: the smallest k with k*N >= M."""
-    return -(-out_dim // in_dim)
+    """Number of stacked diagonal blocks: the smallest k with k*N >= M (N, M >= 1)."""
+    return -(-expect_int(out_dim, "M", ParameterError, 1)
+             // expect_int(in_dim, "N", ParameterError, 1))
 
 
 @dataclass
@@ -37,11 +38,7 @@ class CrosswiseWeights:
     b: np.ndarray
 
     def __post_init__(self):
-        if self.in_dim < 1 or self.out_dim < 1:
-            raise ParameterError(
-                f"dims must be positive, got {self.in_dim}x{self.out_dim}"
-            )
-        if self.k != block_count(self.in_dim, self.out_dim):
+        if expect_int(self.k, "k", ParameterError) != block_count(self.in_dim, self.out_dim):
             raise ParameterError(
                 f"k must be ceil(M/N) = {block_count(self.in_dim, self.out_dim)}, got {self.k}"
             )
@@ -142,8 +139,6 @@ def crosswise_backward(
 
 def init_crosswise(seed: int, in_dim: int, out_dim: int) -> CrosswiseWeights:
     """Seeded weights: uniform [-1, 1]/sqrt(N) coefficients, zero bias."""
-    if in_dim < 1 or out_dim < 1:
-        raise ParameterError(f"dims must be positive, got {in_dim}x{out_dim}")
     k = block_count(in_dim, out_dim)
     c = CounterRng(seed, stream=0).uniform(k * in_dim, -1.0, 1.0) / math.sqrt(in_dim)
     return CrosswiseWeights(in_dim, out_dim, k, c, np.zeros(out_dim))

@@ -1,5 +1,7 @@
 """Exception types shared across the library, and the strict checks that raise them."""
 
+import numpy as np
+
 
 class ShapeError(ValueError):
     """Operands have incompatible or invalid dimensions."""
@@ -38,8 +40,20 @@ def expect_keys(obj, required: set, context: str, optional: set = frozenset(),
         raise error(f"{context} has unknown keys: {sorted(unknown)}")
 
 
-def expect_int(value, context: str, error: type = ConfigError) -> int:
-    """Return `value` if it is an int (a bool is not); otherwise refuse it with `error`."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise error(f"{context} must be an integer, got {value!r}")
+def expect_int(value, context: str, error: type = ConfigError, low: int | None = None) -> int:
+    """`value` as an int if it is a Python or NumPy integer (a bool is not) and, given `low`,
+    at least `low`; otherwise refuse it with `error`, naming its repr."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or (
+            low is not None and value < low):
+        bound = "" if low is None else f" >= {low}"
+        raise error(f"{context} must be an integer{bound}, got {value!r}")
+    return int(value)
+
+
+def expect_positive(value, context: str, error: type = ParameterError, zero: bool = False):
+    """Return `value` if it is a finite real number > 0, or 0 if `zero` (a bool is not a
+    number); otherwise refuse it with `error`, naming its repr."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)) \
+            or not (0 < value < np.inf or zero and value == 0):
+        raise error(f"{context} must be {'>= 0' if zero else 'positive'} and finite, got {value!r}")
     return value

@@ -11,6 +11,10 @@ of a Gaussian matrix with covariance I/sigma^2, so paired cos/sin features of
 zhat(x) give an estimate of exp(-||x - x'||^2 / (2 sigma^2)).  Stacking
 independently sampled blocks grows the feature count and shrinks the
 approximation error.
+
+`mix` is the P H B half, the sign flip, zero pad, FWHT and permutation that
+the `crosswise_mixed` layer's fixed stage also runs: `apply_zhat` calls it and
+then applies G, H and C / (sigma * sqrt(n)).
 """
 
 from __future__ import annotations
@@ -22,15 +26,12 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import ParameterError, ShapeError
+from .errors import ParameterError, ShapeError, expect_int, expect_positive
 from .rng import CounterRng, derive_seed
 
 
 def next_power_of_two(d: int) -> int:
-    n = 1
-    while n < d:
-        n *= 2
-    return n
+    return 1 << (expect_int(d, "dimension", ParameterError, 1) - 1).bit_length()
 
 
 def fwht(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -90,6 +91,45 @@ def fwht(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return pair[(levels - 1) % 2].reshape(n, *v.shape[:-1]).transpose(*range(1, v.ndim), 0)
 
 
+def mixing_factors(signs, perm, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """`signs` and `perm` as float64 and int64 arrays, if `signs` is n entries of +1 or -1
+    (else ShapeError or ParameterError) and `perm` a permutation of 0..n-1 (else ParameterError)."""
+    signs, perm = np.asarray(signs, dtype=np.float64), np.asarray(perm, dtype=np.int64)
+    if signs.shape != (n,):
+        raise ShapeError(f"signs must have length {n}, got {signs.shape}")
+    if not np.all(np.abs(signs) == 1.0):
+        raise ParameterError("signs entries must be +1 or -1")
+    if not np.array_equal(np.sort(perm), np.arange(n)):
+        raise ParameterError(f"perm must be a permutation of 0..{n - 1}")
+    return signs, perm
+
+
+def mix(x: np.ndarray, signs: np.ndarray, perm: np.ndarray) -> np.ndarray:
+    """Entries `perm` of H B x, with each row of `x` zero-padded to n = len(signs).
+
+    `signs` and `perm` are one block's `(n,)` factors, or a stack's `(blocks, n)`, which
+    every row meets; one block's `perm` may be any index array into 0..n-1.  The pad is
+    `signs * 0.0`, signed zeros.  The sign flip and pad fill `fwht`'s C-ordered `(blocks,
+    *rows, n)` scratch, and one take gathers whole rows of its `(n, blocks, *rows)`
+    result: the output is C-ordered `perm.shape + x.shape[:-1]`.
+    """
+    d, n = x.shape[-1], signs.shape[-1]
+    v = np.empty(signs.shape[:-1] + x.shape[:-1] + (n,))
+    if signs.ndim > 1:  # (blocks, 1, ..., n): every row meets every block
+        signs = signs.reshape(signs.shape[:-1] + (1,) * (x.ndim - 1) + (n,))
+    np.multiply(signs[..., :d], x, out=v[..., :d])
+    if d < n:
+        np.multiply(signs[..., d:], 0.0, out=v[..., d:])
+    rows = fwht(v, out=v)  # up to two axes, `.T` is the same view as the transpose, and cheaper
+    rows = rows.T if v.ndim < 3 else rows.transpose(-1, *range(v.ndim - 1))
+    if perm.ndim == 1:
+        return rows.take(perm, axis=0)
+    # Row p * blocks + i of the (n * blocks, *rows) result holds entry p of block i.
+    blocks = perm.shape[0]
+    index = perm * blocks + np.arange(blocks)[:, None]
+    return rows.reshape(n * blocks, *x.shape[:-1]).take(index, axis=0)
+
+
 @dataclass
 class McKernelBlock:
     """One sampled instance of the structured operator's factors."""
@@ -103,22 +143,15 @@ class McKernelBlock:
     seed: int
 
     def __post_init__(self):
-        if self.n < 1 or (self.n & (self.n - 1)) != 0:
+        if next_power_of_two(self.n) != self.n:
             raise ParameterError(f"n must be a power of two, got {self.n}")
-        if not (self.sigma > 0 and math.isfinite(self.sigma)):
-            raise ParameterError(f"sigma must be positive and finite, got {self.sigma}")
-        self.b_signs = np.asarray(self.b_signs, dtype=np.float64)
-        self.perm = np.asarray(self.perm, dtype=np.int64)
+        expect_positive(self.sigma, "sigma")
+        self.b_signs, self.perm = mixing_factors(self.b_signs, self.perm, self.n)
         self.g_diag = np.asarray(self.g_diag, dtype=np.float64)
         self.c_diag = np.asarray(self.c_diag, dtype=np.float64)
-        for name, arr in (("b_signs", self.b_signs), ("perm", self.perm),
-                          ("g_diag", self.g_diag), ("c_diag", self.c_diag)):
+        for name, arr in (("g_diag", self.g_diag), ("c_diag", self.c_diag)):
             if arr.shape != (self.n,):
                 raise ShapeError(f"{name} must have length n = {self.n}, got {arr.shape}")
-        if not np.all(np.abs(self.b_signs) == 1.0):
-            raise ParameterError("b_signs entries must be +1 or -1")
-        if not np.array_equal(np.sort(self.perm), np.arange(self.n)):
-            raise ParameterError("perm must be a permutation of 0..n-1")
 
 
 # Box-Muller pairs in flight in the chi(n) draw, split in whole rows across its workers.
@@ -139,11 +172,8 @@ def sample_block(seed: int, d: int, sigma: float) -> McKernelBlock:
     norm of the Gaussian scaling vector.  The n*n normals are drawn in chunks of
     whole rows on a thread pool: O(n + chunk) memory, and no bit depends on the pool.
     """
-    if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d < 1:
-        raise ParameterError(f"input dimension must be an integer >= 1, got {d!r}")
-    if not (sigma > 0 and math.isfinite(sigma)):
-        raise ParameterError(f"sigma must be positive and finite, got {sigma}")
     n = next_power_of_two(d)
+    expect_positive(sigma, "sigma")
     rng = CounterRng(seed, stream=0)
     b_signs = rng.rademacher(n)
     perm = rng.permutation(n)
@@ -189,21 +219,11 @@ def apply_zhat(block: McKernelBlock, x: np.ndarray) -> np.ndarray:
             f"input must have a last axis of length <= {block.n}, got shape {x.shape}"
         )
     n = block.n
-    padded = np.zeros(x.shape[:-1] + (n,))
-    padded[..., : x.shape[-1]] = x
-    # A stack's factors are (blocks, n): every input row meets every block.
-    per_row = block.b_signs.shape[:-1] + (1,) * (x.ndim - 1) + (n,)
-    v = block.b_signs.reshape(per_row) * padded
-    v = fwht(v, out=v)
-    # P gathers whole rows of the FWHT's (n, blocks, rows) result, each a
-    # contiguous run over the input rows: row p*blocks + i holds entry p of
-    # block i.  G is applied as the gathered (blocks, n, rows) runs are turned
-    # into the next FWHT's C-ordered (blocks, rows, n) input.
-    blocks = block.perm.size // n
-    u = v.transpose(-1, *range(v.ndim - 1)).reshape(n * blocks, -1)
-    index = block.perm * blocks + np.arange(blocks).reshape(block.perm.shape[:-1] + (1,))
-    u = np.take(u, index, axis=0).swapaxes(-1, -2)
-    w = np.multiply(u, block.g_diag[..., None, :], order="C").reshape(v.shape)
+    # G is applied as mix's ([blocks,] n, *rows) result is turned into the
+    # next FWHT's C-ordered ([blocks,] *rows, n) input.
+    u = np.moveaxis(mix(x, block.b_signs, block.perm), block.perm.ndim - 1, -1)
+    per_row = block.g_diag.shape[:-1] + (1,) * (x.ndim - 1) + (n,)
+    w = np.multiply(u, block.g_diag.reshape(per_row), order="C")
     v = np.multiply(fwht(w, out=w), block.c_diag.reshape(per_row), order="C")
     v /= block.sigma * math.sqrt(n)
     return v
@@ -222,9 +242,7 @@ class FeatureMap:
         n0, sigma0 = self.blocks[0].n, self.blocks[0].sigma
         if any(b.n != n0 or b.sigma != sigma0 for b in self.blocks):
             raise ParameterError("all blocks must share n and sigma")
-        if self.input_dim < 1:
-            raise ParameterError(f"input dimension must be >= 1, got {self.input_dim}")
-        if self.input_dim > n0:
+        if expect_int(self.input_dim, "input dimension", ParameterError, 1) > n0:
             raise ShapeError(
                 f"input dimension {self.input_dim} exceeds block dimension {n0}"
             )
@@ -244,9 +262,7 @@ class FeatureMap:
 
 def sample_feature_map(seed: int, d: int, sigma: float, block_count: int) -> FeatureMap:
     """Draw `block_count` i.i.d. blocks; block i uses the child seed derive_seed(seed, i)."""
-    if isinstance(block_count, bool) or not isinstance(block_count, (int, np.integer)) \
-            or block_count < 1:
-        raise ParameterError(f"block_count must be an integer >= 1, got {block_count!r}")
+    expect_int(block_count, "block_count", ParameterError, 1)
     blocks = tuple(
         sample_block(derive_seed(seed, i), d, sigma) for i in range(block_count)
     )
@@ -284,7 +300,6 @@ def kernel_exact(x: np.ndarray, y: np.ndarray, sigma: float) -> float:
     x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
     if x.ndim != 1 or x.shape != y.shape:
         raise ShapeError(f"kernel inputs must be 1-D of equal length, got {x.shape} and {y.shape}")
-    if not sigma > 0:
-        raise ParameterError(f"sigma must be positive, got {sigma}")
+    expect_positive(sigma, "sigma")
     diff = x - y
     return float(np.exp(-np.dot(diff, diff) / (2.0 * sigma * sigma)))

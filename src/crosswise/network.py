@@ -7,7 +7,8 @@ Layer kinds:
 * ``crosswise_mixed`` — the crosswise layer behind a fixed, non-learned mixing
   stage (sign-flip diagonal, Walsh-Hadamard transform, seeded permutation,
   scaled by 1/sqrt(pad) so the stage is an isometry): `CrosswiseMixedLayer`
-  subclasses `CrosswiseLayer` and adds only that stage.  Only the diagonal
+  subclasses `CrosswiseLayer` and adds only that stage: `features.mix`, which
+  the feature map runs too, then the scale.  Only the diagonal
   coefficients and biases are learned, so the parameter count matches the
   plain crosswise layer on the padded dimension.
 
@@ -40,8 +41,9 @@ from .diagonal import (
     crosswise_forward,
     init_crosswise,
 )
-from .errors import DivergenceError, ParameterError, ShapeError, expect_int, expect_keys
-from .features import fwht, next_power_of_two
+from .errors import (DivergenceError, ParameterError, ShapeError, expect_int, expect_keys,
+                     expect_positive)
+from .features import fwht, mix, mixing_factors, next_power_of_two
 from .rng import CounterRng, derive_seed
 
 LAYER_KINDS = ("dense", "crosswise", "crosswise_mixed")
@@ -59,10 +61,8 @@ class LayerSpec:
     def __post_init__(self):
         if self.kind not in LAYER_KINDS:
             raise ParameterError(f"layer kind must be one of {LAYER_KINDS}, got {self.kind!r}")
-        if self.in_dim < 1 or self.out_dim < 1:
-            raise ParameterError(
-                f"layer dims must be positive, got {self.in_dim}x{self.out_dim}"
-            )
+        expect_int(self.in_dim, "layer in_dim", ParameterError, 1)
+        expect_int(self.out_dim, "layer out_dim", ParameterError, 1)
         if self.activation not in NETWORK_ACTIVATIONS:
             raise ParameterError(
                 f"activation must be one of {NETWORK_ACTIVATIONS}, got {self.activation!r}"
@@ -76,6 +76,7 @@ class NetworkSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "layers", tuple(self.layers))
+        expect_int(self.seed, "network seed", ParameterError)
         if not self.layers:
             raise ParameterError("network needs at least one layer")
         for i in range(len(self.layers) - 1):
@@ -99,12 +100,10 @@ class TrainConfig:
     seed: int
 
     def __post_init__(self):
-        if not self.learning_rate > 0:
-            raise ParameterError(f"learning_rate must be positive, got {self.learning_rate}")
-        if self.epochs < 0:
-            raise ParameterError(f"epochs must be >= 0, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ParameterError(f"batch_size must be positive, got {self.batch_size}")
+        expect_positive(self.learning_rate, "learning_rate")
+        expect_int(self.epochs, "epochs", ParameterError, 0)
+        expect_int(self.batch_size, "batch_size", ParameterError, 1)
+        expect_int(self.seed, "seed", ParameterError)
         if self.loss not in LOSS_KINDS:
             raise ParameterError(f"loss must be one of {LOSS_KINDS}, got {self.loss!r}")
 
@@ -215,18 +214,9 @@ class CrosswiseMixedLayer(CrosswiseLayer):
     def __init__(self, spec: LayerSpec, weights: CrosswiseWeights,
                  signs: np.ndarray, perm: np.ndarray):
         super().__init__(spec, weights)
-        signs = np.asarray(signs, dtype=np.float64)
-        perm = np.asarray(perm, dtype=np.int64)
-        if signs.shape != (self.pad,):
-            raise ShapeError(f"signs must have length {self.pad}, got {signs.shape}")
-        if not np.array_equal(np.sort(perm), np.arange(self.pad)):
-            raise ParameterError("perm must be a permutation of 0..pad-1")
-        if not np.all(np.abs(signs) == 1.0):
-            raise ParameterError("signs entries must be +1 or -1")
-        self.signs = signs
-        self.perm = perm
+        self.signs, self.perm = mixing_factors(signs, perm, self.pad)
         self._scale = 1.0 / math.sqrt(self.pad)
-        self._in_signs, self._pad_zeros = signs[: spec.in_dim], signs[spec.in_dim :] * 0.0
+        self._in_signs = self.signs[: spec.in_dim]
 
     def stage(self, x: np.ndarray) -> np.ndarray:
         """The stage columns that the diagonal reads (`perm[: weights.in_dim]`) of each
@@ -236,14 +226,9 @@ class CrosswiseMixedLayer(CrosswiseLayer):
             raise ShapeError(
                 f"expected input of length {self.spec.in_dim}, got shape {x.shape}"
             )
-        # The sign flip and zero pad fill a C-ordered `(B, pad)` buffer, `fwht`'s
-        # scratch; one take then gathers whole rows of its `(pad, B)` result.
-        v = np.empty((*x.shape[:-1], self.pad))
-        np.multiply(self._in_signs, x, out=v[..., : self.spec.in_dim])
-        v[..., self.spec.in_dim :] = self._pad_zeros
-        u = fwht(v, out=v).T.take(self.perm[: self.weights.in_dim], axis=0)
+        u = mix(x, self.signs, self.perm[: self.weights.in_dim])  # C-ordered (columns, B)
         u *= self._scale
-        return u.T
+        return u.T if u.ndim < 3 else u.transpose(*range(1, u.ndim), 0)  # `.T`: cheaper
 
     # forward and backward call crosswise_forward/crosswise_backward themselves,
     # not CrosswiseLayer's methods: the benchmark tracer wraps each class's own
@@ -396,6 +381,7 @@ def _backward_with_loss(net: Network, x, target, labels, loss_kind):
 
 
 def sgd_step(net: Network, grads: list, learning_rate: float) -> Network:
+    expect_positive(learning_rate, "learning_rate", zero=True)
     if len(grads) != len(net.layers):
         raise ShapeError(f"{len(grads)} gradient sets for {len(net.layers)} layers")
     for i, layer in enumerate(net.layers):

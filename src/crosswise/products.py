@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, SamplingError, ShapeError, SingularMatrixError
+from .errors import ParameterError, SamplingError, ShapeError, SingularMatrixError, expect_int
 from .linalg import pinv_full_rank
 from .rng import CounterRng
 
@@ -104,8 +104,7 @@ def verify_identities(seed: int, max_dim: int, draws: int = 100) -> IdentityRepo
     """
     if not 2 <= max_dim <= 8:
         raise ParameterError(f"max_dim must be in [2, 8], got {max_dim}")
-    if draws < 1:
-        raise ParameterError(f"draws must be >= 1, got {draws}")
+    expect_int(draws, "draws", ParameterError, 1)
 
     rng = CounterRng(seed, stream=0)
 

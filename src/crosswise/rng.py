@@ -41,6 +41,8 @@ from collections.abc import Callable
 
 import numpy as np
 
+from .errors import ParameterError, expect_int
+
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _STREAM_SALT = 0xD2B74407B1CE6E93
@@ -82,13 +84,6 @@ def _mix64_inplace(z: np.ndarray, shifted: np.ndarray) -> np.ndarray:
     return z
 
 
-def _count(count, what: str) -> int:
-    """`count` as an int, if it is a non-negative integer (a bool is not); else ValueError."""
-    if isinstance(count, (bool, np.bool_)) or not isinstance(count, (int, np.integer)) or count < 0:
-        raise ValueError(f"{what} must be a non-negative integer, got {count!r}")
-    return int(count)
-
-
 def _box_muller(out: np.ndarray) -> np.ndarray:
     """Turn the rows of the float64 (2, m) `out`, holding the words w1 and w2 of m pairs as
     uint64 bits, into r*cos(theta) and r*sin(theta), writing only into `out` and r.  theta
@@ -118,7 +113,7 @@ class CounterRng:
 
     def words(self, count: int, out: np.ndarray | None = None) -> np.ndarray:
         """Next `count` 64-bit words as a uint64 array: `out`, a uint64 (count,) array, if given."""
-        count = _count(count, "word count")
+        count = expect_int(count, "word count", ParameterError, 0)
         # The counter offsets 0..count-1, then mix64's scratch.
         shifted = np.arange(count, dtype=np.uint64)
         z = np.multiply(shifted, _U64_GOLDEN, out=out)
@@ -131,7 +126,7 @@ class CounterRng:
         return low + (high - low) * u
 
     def normal(self, count: int) -> np.ndarray:
-        half = (_count(count, "normal count") + 1) // 2
+        half = (expect_int(count, "normal count", ParameterError, 0) + 1) // 2
         words = self.words(2 * half).view(np.float64).reshape(2, half)  # the Box-Muller buffer
         return _box_muller(words).reshape(-1)[:count]
 
@@ -143,7 +138,7 @@ class CounterRng:
         position, count, start and size.  normal(count) is all cos parts, then all sin parts,
         truncated to count.
         """
-        half = (_count(count, "normal count") + 1) // 2
+        half = (expect_int(count, "normal count", ParameterError, 0) + 1) // 2
         base, self._counter = self._counter, self._counter + 2 * half
 
         def draw(start: int, size: int, out: np.ndarray | None = None) -> np.ndarray:
@@ -169,7 +164,7 @@ class CounterRng:
         return (self.words(count) % span).astype(np.int64) + low
 
     def permutation(self, n: int) -> np.ndarray:
-        n = _count(n, "permutation length")
+        n = expect_int(n, "permutation length", ParameterError, 0)
         perm = list(range(n))
         if n > 1:
             # One array operation takes every modulus (i + 1); the swaps run on

@@ -136,6 +136,18 @@ def zhat_dense(block):
     ) / (block.sigma * np.sqrt(n))
 
 
+def zhat_butterfly(block, x):
+    """C H G P H B x / (sigma sqrt(n)) in the order of its definition: explicit
+    zero pad to n, radix-2 FWHTs and a fancy-index P.  Unlike `zhat_dense`, it
+    makes the same roundings as the library, so it pins `apply_zhat`'s bits,
+    signs of zeros included.
+    """
+    padded = np.zeros((*np.shape(x)[:-1], block.n))
+    padded[..., : np.shape(x)[-1]] = x
+    mixed = butterfly_fwht(block.b_signs * padded)[..., block.perm]
+    return block.c_diag * butterfly_fwht(block.g_diag * mixed) / (block.sigma * np.sqrt(block.n))
+
+
 def softmax_cross_entropy(logits, label):
     """-log softmax(logits)[label] of one row and its gradient, by scalar loops
     over Python floats: shift by the max, exp, sum, log."""

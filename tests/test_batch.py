@@ -44,6 +44,7 @@ from oracles import (
     mixing_stage,
     naive_fwht,
     zero_padded_block_grads,
+    zhat_butterfly,
     zhat_dense,
 )
 
@@ -230,6 +231,7 @@ def test_feature_map_batch_equals_rows_and_blocks(d, blocks, batch, seed):
         np.testing.assert_array_equal(phi[i], per_block)
         for block, z in zip(fm.blocks, zs):
             np.testing.assert_array_equal(apply_zhat(block, x)[i], z)
+            np.testing.assert_array_equal(_bits(z), _bits(zhat_butterfly(block, x[i])))
             if fm.n <= 16:
                 padded = np.zeros(fm.n)
                 padded[:d] = x[i]

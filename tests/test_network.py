@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from crosswise import network
+from crosswise import features, network
 from crosswise.datasets import Dataset, gen_blobs
 from crosswise.diagonal import expand_to_dense, init_crosswise
 from crosswise.errors import DivergenceError, ParameterError, ShapeError
@@ -217,6 +217,17 @@ def _near_kink(net, x, margin=1e-4):
     return False
 
 
+def _count_fwhts(monkeypatch, calls):
+    """Record the shape of every FWHT input, under both names it is called by: a
+    mixed layer's forward transforms through `features.mix`, its backward directly."""
+    def counted(v, **kw):
+        calls.append(v.shape)
+        return fwht(v, **kw)
+
+    monkeypatch.setattr(network, "fwht", counted)
+    monkeypatch.setattr(features, "fwht", counted)
+
+
 @pytest.mark.parametrize("kind", ("dense", "crosswise", "crosswise_mixed"))
 def test_backward_skips_first_layer_input_gradient(kind, monkeypatch):
     spec = NetworkSpec(layers=(
@@ -240,8 +251,7 @@ def test_backward_skips_first_layer_input_gradient(kind, monkeypatch):
     assert g.shape == x.shape
 
     calls = []
-    monkeypatch.setattr(network, "fwht",
-                        lambda v, **kw: calls.append(v.shape) or fwht(v, **kw))
+    _count_fwhts(monkeypatch, calls)
     grads = network_backward(net, x, target, "cross_entropy")
     # One FWHT per mixed layer forward, and one for the second layer's input
     # gradient; none for the first layer's, which nothing reads.
@@ -295,8 +305,7 @@ def test_train_stages_first_mixed_layer_once_per_call(second, epochs, batch, mon
     ), seed=33)
     data = gen_blobs(seed=5, samples_per_class=10, dims=6, class_count=3, spread=0.3)
     calls = []
-    monkeypatch.setattr(network, "fwht",
-                        lambda v, **kw: calls.append(v.shape) or fwht(v, **kw))
+    _count_fwhts(monkeypatch, calls)
     train_network(build_network(spec), TrainConfig(0.1, epochs, batch, "cross_entropy", 2), data)
     batches = -(-30 // batch)
     if epochs == 0:
