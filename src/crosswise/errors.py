@@ -50,10 +50,10 @@ def expect_int(value, context: str, error: type = ConfigError, low: int | None =
     return int(value)
 
 
-def expect_positive(value, context: str, error: type = ParameterError, zero: bool = False):
-    """Return `value` if it is a finite real number > 0, or 0 if `zero` (a bool is not a
-    number); otherwise refuse it with `error`, naming its repr."""
+def expect_positive(value, context: str, zero: bool = False) -> None:
+    """Refuse `value` with ParameterError, naming its repr, unless it is a finite real number
+    > 0, or 0 if `zero` (a bool is not a number)."""
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)) \
             or not (0 < value < np.inf or zero and value == 0):
-        raise error(f"{context} must be {'>= 0' if zero else 'positive'} and finite, got {value!r}")
-    return value
+        raise ParameterError(
+            f"{context} must be {'>= 0' if zero else 'positive'} and finite, got {value!r}")

@@ -11,8 +11,14 @@ import pytest
 
 from crosswise.datasets import Dataset, gen_blobs, gen_xor
 from crosswise.diagonal import CrosswiseWeights, block_count
-from crosswise.errors import ParameterError, expect_int, expect_positive
-from crosswise.features import FeatureMap, kernel_exact, next_power_of_two, sample_block
+from crosswise.errors import ParameterError, ShapeError, expect_int, expect_positive
+from crosswise.features import (
+    FeatureMap,
+    McKernelBlock,
+    kernel_exact,
+    next_power_of_two,
+    sample_block,
+)
 from crosswise.network import (
     LayerSpec,
     NetworkSpec,
@@ -89,7 +95,21 @@ def test_expect_positive_refuses_all_but_finite_positive_numbers(value):
         expect_positive(value, "rate")
 
 
-def test_expect_positive_keeps_the_value_and_takes_zero_only_when_asked():
+def test_expect_positive_takes_finite_positive_numbers_and_zero_only_when_asked():
     for value in (0.5, 2, np.float64(1e-300), np.int64(7)):
-        assert expect_positive(value, "rate") is value
-    assert expect_positive(0.0, "rate", zero=True) == 0.0
+        expect_positive(value, "rate")
+    expect_positive(0.0, "rate", zero=True)
+    with pytest.raises(ParameterError, match=r"rate must be >= 0 and finite, got -0\.5"):
+        expect_positive(-0.5, "rate", zero=True)
+
+
+def test_mckernel_block_refuses_bad_factors_with_the_factor_check():
+    block = sample_block(0, 4, 1.0)
+    fields = dict(n=block.n, sigma=block.sigma, b_signs=block.b_signs, perm=block.perm,
+                  g_diag=block.g_diag, c_diag=block.c_diag, seed=block.seed)
+    with pytest.raises(ParameterError, match=r"perm must be a permutation of 0\.\.3"):
+        McKernelBlock(**{**fields, "perm": block.perm[:3]})
+    with pytest.raises(ParameterError, match=r"signs entries must be \+1 or -1"):
+        McKernelBlock(**{**fields, "b_signs": np.array([1.0, -1.0, 0.5, 1.0])})
+    with pytest.raises(ShapeError, match=r"signs must have length 4"):
+        McKernelBlock(**{**fields, "b_signs": np.ones(3)})
