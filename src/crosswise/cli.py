@@ -291,11 +291,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_train = sub.add_parser("train", help="train a network from a JSON config")
+    p_train.set_defaults(run=cmd_train)
     p_train.add_argument("--config", required=True, help="path to the JSON run config")
     p_train.add_argument("--threads", type=int, default=1,
                          help="accepted for compatibility; has no effect (must be >= 1)")
 
     p_bench = sub.add_parser("bench", help="benchmark dense vs crosswise forward passes")
+    p_bench.set_defaults(run=cmd_bench)
     p_bench.add_argument("--dims", action="append", required=True, metavar="NxM",
                          help="layer shape to bench; repeatable")
     p_bench.add_argument("--reps", type=int, default=50,
@@ -305,6 +307,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_kernel = sub.add_parser("kernel-check",
                               help="compare approximate RBF kernel against the exact one")
+    p_kernel.set_defaults(run=cmd_kernel_check)
     p_kernel.add_argument("--d", type=int, default=8, help="input dimension")
     p_kernel.add_argument("--sigma", type=float, default=1.0)
     p_kernel.add_argument("--blocks", default="1,64",
@@ -315,12 +318,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_algebra = sub.add_parser("algebra-check",
                                help="verify the product-algebra identities on seeded draws")
+    p_algebra.set_defaults(run=cmd_algebra_check)
     p_algebra.add_argument("--seed", type=int, default=0)
     p_algebra.add_argument("--max-dim", type=int, default=6,
                            help="largest factor dimension (2..8)")
     p_algebra.add_argument("--out", default="algebra_check.csv", help="output CSV path")
 
     p_gen = sub.add_parser("gen-data", help="write a synthetic dataset CSV")
+    p_gen.set_defaults(run=cmd_gen_data)
     p_gen.add_argument("--kind", required=True, choices=("blobs", "xor"))
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--out", required=True, help="output CSV path")
@@ -336,15 +341,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_HANDLERS = {
-    "train": cmd_train,
-    "bench": cmd_bench,
-    "kernel-check": cmd_kernel_check,
-    "algebra-check": cmd_algebra_check,
-    "gen-data": cmd_gen_data,
-}
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -355,7 +351,7 @@ def main(argv=None) -> int:
     try:
         if "out" in args:  # every command but train, whose outputs are in its config
             _check_writable(args.out)
-        return _HANDLERS[args.command](args)
+        return args.run(args)
     except (ConfigError, ParameterError, ShapeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -152,22 +152,14 @@ def load_csv(path) -> Dataset:
         raw_labels.append(cells[-1])
     if not rows:
         raise ParameterError(f"{path}:{header_ln}: header but no data rows")
-    if all(_parses_as_int(s) for s in raw_labels):
+    try:
         ints = [int(s) for s in raw_labels]
+    except ValueError:
+        labels, class_count = np.array([float(s) for s in raw_labels]), 0
+    else:
         for (ln, _), label in zip(lines[1:], ints):
             if not 0 <= label < 2**63:  # int64
                 raise ParameterError(f"{path}:{ln}: class label {label} is outside [0, 2**63)")
         labels = np.array(ints, dtype=np.int64)
         class_count = int(labels.max()) + 1
-    else:
-        labels = np.array([float(s) for s in raw_labels])
-        class_count = 0
     return Dataset(features=np.array(rows), labels=labels, class_count=class_count)
-
-
-def _parses_as_int(s: str) -> bool:
-    try:
-        int(s)
-    except ValueError:
-        return False
-    return True

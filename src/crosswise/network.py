@@ -6,11 +6,11 @@ Layer kinds:
 * ``crosswise`` — learned diagonal coefficients only (see `diagonal`).
 * ``crosswise_mixed`` — the crosswise layer behind a fixed, non-learned mixing
   stage (sign-flip diagonal, Walsh-Hadamard transform, seeded permutation,
-  scaled by 1/sqrt(pad) so the stage is an isometry): `CrosswiseMixedLayer`
-  subclasses `CrosswiseLayer` and adds only that stage: `features.mix`, which
-  the feature map runs too, then the scale.  Only the diagonal
-  coefficients and biases are learned, so the parameter count matches the
-  plain crosswise layer on the padded dimension.
+  scaled by 1/sqrt(pad) so the stage is an isometry).  Both diagonal kinds are
+  one class, `CrosswiseLayer`, whose stage is absent or `(signs, perm)`: it
+  runs `features.mix`, which the feature map runs too, then the scale.  Only
+  the diagonal coefficients and biases are learned, so the parameter count
+  matches the plain crosswise layer on the padded dimension.
 
 ``softmax_output`` is an identity at forward time: the layer emits logits and
 the cross-entropy loss applies a stabilized softmax internally, which yields
@@ -153,70 +153,43 @@ class DenseLayer:
         return grads, (g_pre @ self.w if input_grad else None)
 
 
+def _padded_width(spec: LayerSpec) -> int:
+    """The input width of a diagonal layer's weights: a stage pads it to a power of two."""
+    return next_power_of_two(spec.in_dim) if spec.kind == "crosswise_mixed" else spec.in_dim
+
+
 class CrosswiseLayer:
-    """Learned diagonal map (see `diagonal`) on inputs of length `pad`.
+    """Learned diagonal map (see `diagonal`) on inputs of length `pad`, behind an optional
+    fixed isometric mixing stage.  A ``crosswise`` layer has none (`signs` and `perm` are
+    None) and reads its input as given, so `pad` is `in_dim`.  A ``crosswise_mixed`` layer
+    zero-pads its input to a power of two `pad`, then sign-flips it by `signs`,
+    Walsh-Hadamard transforms, permutes by `perm` and scales it by 1/sqrt(pad)."""
 
-    Plain crosswise acts on the input as given, so `pad` is `in_dim`.
-    """
-
-    kind = "crosswise"
-
-    @staticmethod
-    def padded_width(in_dim: int) -> int:
-        return in_dim
-
-    def __init__(self, spec: LayerSpec, weights: CrosswiseWeights):
-        self.pad = self.padded_width(spec.in_dim)
+    def __init__(self, spec: LayerSpec, weights: CrosswiseWeights,
+                 signs: np.ndarray | None = None, perm: np.ndarray | None = None):
+        plain = spec.kind == "crosswise"
+        if spec.kind == "dense" or (signs is None, perm is None) != (plain, plain):
+            raise ParameterError(f"a crosswise layer takes no signs or perm and a crosswise_mixed "
+                                 f"layer both, got a {spec.kind} spec")
+        self.pad = _padded_width(spec)
         if weights.in_dim != self.pad or weights.out_dim != spec.out_dim:
             raise ShapeError(
-                f"{self.kind} weights are {weights.in_dim}->{weights.out_dim}, "
+                f"{spec.kind} weights are {weights.in_dim}->{weights.out_dim}, "
                 f"expected {self.pad}->{spec.out_dim}"
             )
         self.spec = spec
         self.weights = weights
         # The softmax of softmax_output is applied inside the loss.
         self._activation = "identity" if spec.activation == "softmax_output" else spec.activation
+        if not plain:
+            signs, perm = mixing_factors(signs, perm, self.pad)
+            self._scale, self._in_signs = 1.0 / math.sqrt(self.pad), signs[: spec.in_dim]
+        self.signs, self.perm = signs, perm
+
+    kind = property(lambda self: self.spec.kind)
 
     def params(self) -> dict:
         return {"c": self.weights.c, "b": self.weights.b}
-
-    def forward(self, x: np.ndarray):
-        return crosswise_forward(self.weights, x, self._activation), x
-
-    def backward(self, cache, g_out: np.ndarray, input_grad: bool = True, out=None):
-        grad_c, grad_b, grad_x = crosswise_backward(
-            self.weights, cache, g_out, self._activation, input_grad, out
-        )
-        return {"c": grad_c, "b": grad_b}, grad_x
-
-    def narrowed(self, n: int, need: int) -> "CrosswiseLayer":
-        """A copy on prefix views of the same parameters: its diagonal reads the first n
-        inputs (of a mixed layer, stage columns) and emits the first `need` outputs."""
-        layer, k = object.__new__(type(self)), block_count(n, need)
-        layer.__dict__.update(self.__dict__)  # a shallow copy, as `copy.copy` makes, but cheaper
-        layer.weights = CrosswiseWeights(n, need, k, self.weights.c[: k * n], self.weights.b[:need])
-        in_dim = n if self.kind == "crosswise" else self.spec.in_dim  # a stage keeps its input
-        layer.spec = LayerSpec(self.kind, in_dim, need, self.spec.activation)
-        layer.pad = self.padded_width(in_dim)
-        return layer
-
-
-class CrosswiseMixedLayer(CrosswiseLayer):
-    """The crosswise layer behind a fixed isometric mixing stage.
-
-    The input is zero-padded to a power of two `pad`, then sign-flipped,
-    Walsh-Hadamard transformed, permuted and scaled by 1/sqrt(pad).
-    """
-
-    kind = "crosswise_mixed"
-    padded_width = staticmethod(next_power_of_two)
-
-    def __init__(self, spec: LayerSpec, weights: CrosswiseWeights,
-                 signs: np.ndarray, perm: np.ndarray):
-        super().__init__(spec, weights)
-        self.signs, self.perm = mixing_factors(signs, perm, self.pad)
-        self._scale = 1.0 / math.sqrt(self.pad)
-        self._in_signs = self.signs[: spec.in_dim]
 
     def stage(self, x: np.ndarray) -> np.ndarray:
         """The stage columns that the diagonal reads (`perm[: weights.in_dim]`) of each
@@ -230,29 +203,48 @@ class CrosswiseMixedLayer(CrosswiseLayer):
         u *= self._scale
         return u.T if u.ndim < 3 else u.transpose(*range(1, u.ndim), 0)  # `.T`: cheaper
 
-    # forward and backward call crosswise_forward/crosswise_backward themselves,
-    # not CrosswiseLayer's methods: the benchmark tracer wraps each class's own
-    # methods, and a super() call would count one mixed-layer call twice.
+    # forward and backward call no other method that the benchmark tracer wraps (each
+    # layer class's own forward and backward), so that each layer call counts once.
     def forward(self, x: np.ndarray):
-        u = self.stage(x)
+        u = x if self.perm is None else self.stage(x)
         return crosswise_forward(self.weights, u, self._activation), u
 
     def backward(self, cache, g_out: np.ndarray, input_grad: bool = True, out=None):
-        grad_c, grad_b, grad_u = crosswise_backward(
+        grad_c, grad_b, g_x = crosswise_backward(
             self.weights, cache, g_out, self._activation, input_grad, out
         )
-        g_x = None
-        if input_grad:
+        if input_grad and self.perm is not None:
             # Transpose of the mixing stage: unscale, unpermute (the unread slots
             # are zero), FWHT (symmetric), then sign-flip only the coordinates that
             # are kept.  The scatter fills a zeroed C-ordered `(B, pad)` buffer, the
             # FWHT's scratch; the result is C-ordered, since a Fortran-ordered
             # gradient makes the previous layer's row sums pairwise.
-            g_v = np.zeros((*grad_u.shape[:-1], self.pad))
-            g_v[..., self.perm[: self.weights.in_dim]] = grad_u * self._scale
+            g_v = np.zeros((*g_x.shape[:-1], self.pad))
+            g_v[..., self.perm[: self.weights.in_dim]] = g_x * self._scale
             g_x = np.multiply(self._in_signs, fwht(g_v, out=g_v)[..., : self.spec.in_dim],
                               order="C")
         return {"c": grad_c, "b": grad_b}, g_x
+
+    def narrowed(self, n: int, need: int, keep_stage: bool = True) -> "CrosswiseLayer":
+        """A copy on prefix views of the same parameters: its diagonal reads the first n
+        inputs (of a mixed layer, stage columns) and emits the first `need` outputs.
+        Without `keep_stage`, the copy has no stage and its inputs are stage columns."""
+        layer, k = object.__new__(type(self)), block_count(n, need)
+        layer.__dict__.update(self.__dict__)  # a shallow copy, as `copy.copy` makes, but cheaper
+        layer.weights = CrosswiseWeights(n, need, k, self.weights.c[: k * n], self.weights.b[:need])
+        if not keep_stage:
+            layer.signs = layer.perm = None
+        kind, in_dim = ("crosswise", n) if layer.perm is None else (self.kind, self.spec.in_dim)
+        layer.spec = LayerSpec(kind, in_dim, need, self.spec.activation)  # a stage keeps its input
+        layer.pad = _padded_width(layer.spec)
+        return layer
+
+
+class CrosswiseMixedLayer(CrosswiseLayer):
+    """Kept only for `bench/spans.py`, which wraps this class's own `forward` and `backward`
+    (lines 46, 49), read from its `__dict__` (line 130).  Nothing in the library builds one."""
+
+    forward, backward = CrosswiseLayer.forward, CrosswiseLayer.backward
 
 
 def build_network(spec: NetworkSpec) -> "Network":
@@ -265,15 +257,12 @@ def build_network(spec: NetworkSpec) -> "Network":
             w = rng.uniform(lspec.out_dim * lspec.in_dim, -1.0, 1.0)
             w = w.reshape(lspec.out_dim, lspec.in_dim) / math.sqrt(lspec.in_dim)
             layers.append(DenseLayer(lspec, w, np.zeros(lspec.out_dim)))
-        elif lspec.kind == "crosswise":
-            layers.append(CrosswiseLayer(lspec, init_crosswise(lseed, lspec.in_dim, lspec.out_dim)))
-        else:
-            pad = next_power_of_two(lspec.in_dim)
-            weights = init_crosswise(lseed, pad, lspec.out_dim)
+            continue
+        pad, stage = _padded_width(lspec), ()
+        if lspec.kind == "crosswise_mixed":
             fixed = CounterRng(lseed, stream=1)
-            signs = fixed.rademacher(pad)
-            perm = fixed.permutation(pad)
-            layers.append(CrosswiseMixedLayer(lspec, weights, signs, perm))
+            stage = (fixed.rademacher(pad), fixed.permutation(pad))
+        layers.append(CrosswiseLayer(lspec, init_crosswise(lseed, pad, lspec.out_dim), *stage))
     return Network(spec, layers)
 
 
@@ -381,18 +370,24 @@ def _backward_with_loss(net: Network, x, target, labels, loss_kind):
 
 
 def sgd_step(net: Network, grads: list, learning_rate: float) -> Network:
+    """Every layer's gradient keys and shapes are checked before any parameter is written."""
     expect_positive(learning_rate, "learning_rate", zero=True)
     if len(grads) != len(net.layers):
         raise ShapeError(f"{len(grads)} gradient sets for {len(net.layers)} layers")
+    steps = []
     for i, layer in enumerate(net.layers):
         params = layer.params()
+        if grads[i].keys() != params.keys():
+            raise ShapeError(f"layer {i} grad keys {sorted(grads[i])} != its {sorted(params)}")
         for name, p in params.items():
             g = grads[i][name]
             if g.shape != p.shape:
                 raise ShapeError(
                     f"layer {i} grad {name!r} has shape {g.shape}, parameter is {p.shape}"
                 )
-            p -= learning_rate * g
+            steps.append((p, g))
+    for p, g in steps:
+        p -= learning_rate * g
     return net
 
 
@@ -437,12 +432,10 @@ def _stepped_network(net: Network, features: np.ndarray):
     """
     layers, need = list(net.layers), net.out_dim
     staged = layers[0].kind == "crosswise_mixed"
+    if staged:
+        features = layers[0].stage(features)
     for i in range(len(layers) - 1, -1, -1):
         layer = layers[i]
-        if i == 0 and staged:
-            features = layer.stage(features)
-            layer = CrosswiseLayer(LayerSpec("crosswise", layer.pad, layer.spec.out_dim,
-                                             layer.spec.activation), layer.weights)
         if layer.kind != "dense":
             # Two columns at least: NumPy sums a one-column operand's rows pairwise, not
             # one after another.  A plain layer's inputs are its producer's outputs: a
@@ -452,7 +445,7 @@ def _stepped_network(net: Network, features: np.ndarray):
             if layer.kind == "crosswise" and i > 0 and (layers[i - 1].kind == "dense" or (
                     i > 1 and block_count(layers[i - 1].pad, n) != layers[i - 1].weights.k)):
                 n = layer.pad
-            layer = layer.narrowed(n, need)
+            layer = layer.narrowed(n, need, keep_stage=i > 0)
         layers[i], need = layer, layer.spec.in_dim
     return Network(net.spec, layers), features[:, :need], staged
 
@@ -467,8 +460,8 @@ def train_network(net: Network, cfg: TrainConfig, data, threads: int = 1) -> lis
     stepped by its rows' mean gradient.  `threads` has no effect (must be >= 1).
 
     A first `crosswise_mixed` layer's stage is fixed and nothing reads its
-    input gradient, so the stage runs once per call on all rows, and a plain
-    crosswise layer sharing its weights steps on the staged rows.  An N->M
+    input gradient, so the stage runs once per call on all rows, and the same
+    layer, narrowed without its stage, steps on the staged rows.  An N->M
     diagonal with M < N reads only its first M inputs (of a mixed layer, stage
     columns), so the units behind the other N - M are dead: their coefficients
     get zero gradients only.  The mini-batches and accuracy passes compute only
@@ -559,11 +552,10 @@ def _layer_counts(lspec: LayerSpec) -> tuple[int, int, int]:
     """(learned weights, multiplications per forward, FWHT butterfly ops) of one layer."""
     if lspec.kind == "dense":
         return lspec.in_dim * lspec.out_dim, lspec.in_dim * lspec.out_dim, 0
-    if lspec.kind == "crosswise":
-        weights = block_count(lspec.in_dim, lspec.out_dim) * lspec.in_dim
-        return weights, weights, 0
-    pad = next_power_of_two(lspec.in_dim)
+    pad = _padded_width(lspec)
     weights = block_count(pad, lspec.out_dim) * pad
+    if lspec.kind == "crosswise":
+        return weights, weights, 0
     # The fixed sign diagonal costs pad multiplications on top of the learned
     # diagonal products; butterfly ops are counted separately.
     return weights, pad + weights, pad * int(math.log2(pad))
@@ -651,9 +643,9 @@ def model_from_json(doc: dict, seed: int = 0) -> Network:
                 in_dim=ints.get("pad", lspec.in_dim), out_dim=lspec.out_dim, k=ints["k"],
                 c=_model_array(entry, "c", context), b=b,
             )
-            layer = (CrosswiseLayer(lspec, weights) if kind == "crosswise" else
-                     CrosswiseMixedLayer(lspec, weights, _model_array(entry, "signs", context),
-                                         _model_array(entry, "perm", context, kinds="i")))
+            stage = [_model_array(entry, key, context, kinds)
+                     for key, kinds in (("signs", "if"), ("perm", "i")) if key in entry]
+            layer = CrosswiseLayer(lspec, weights, *stage)
         specs.append(lspec)
         layers.append(layer)
     return Network(NetworkSpec(layers=tuple(specs), seed=seed), layers)

@@ -108,8 +108,8 @@ def verify_identities(seed: int, max_dim: int, draws: int = 100) -> IdentityRepo
 
     rng = CounterRng(seed, stream=0)
 
-    def dim() -> int:
-        return int(rng.integers(1, 2, max_dim + 1)[0])
+    def dim(high: int = max_dim) -> int:
+        return int(rng.integers(1, 2, high + 1)[0])
 
     worst = {name: 0.0 for name in IDENTITY_THRESHOLDS}
 
@@ -124,8 +124,7 @@ def verify_identities(seed: int, max_dim: int, draws: int = 100) -> IdentityRepo
         # pinv(A kron B) == pinv(A) kron pinv(B), full-column-rank draws
         def kron_pinv_residual() -> float:
             am, bm = dim(), dim()
-            an = int(rng.integers(1, 2, am + 1)[0])
-            bn = int(rng.integers(1, 2, bm + 1)[0])
+            an, bn = dim(am), dim(bm)
             a2, b2 = _boosted(rng, am, an), _boosted(rng, bm, bn)
             lhs = pinv_full_rank(kronecker(a2, b2))
             rhs = kronecker(pinv_full_rank(a2), pinv_full_rank(b2))
@@ -151,7 +150,7 @@ def verify_identities(seed: int, max_dim: int, draws: int = 100) -> IdentityRepo
         # pinv(A kr B) == pinv((A^T A) * (B^T B)) (A kr B)^T, full-column-rank draws
         def kr_pinv_residual() -> float:
             am, bm = dim(), dim()
-            k2 = int(rng.integers(1, 2, min(am, bm) + 1)[0])
+            k2 = dim(min(am, bm))
             a5, b5 = _boosted(rng, am, k2), _boosted(rng, bm, k2)
             kr5 = khatri_rao(a5, b5)
             lhs = pinv_full_rank(kr5)

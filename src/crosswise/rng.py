@@ -71,6 +71,8 @@ def word_at(seed: int, stream: int, counter: int) -> int:
 
 def derive_seed(seed: int, label: int) -> int:
     """Child seed for component `label` of a composite sampler (e.g. block i)."""
+    seed = expect_int(seed, "seed", ParameterError)
+    label = expect_int(label, "label", ParameterError)
     return mix64(mix64(seed & _MASK64) ^ ((label * _DERIVE_SALT) & _MASK64) ^ _GOLDEN)
 
 
@@ -106,9 +108,9 @@ class CounterRng:
     """Sequential cursor over the (seed, stream) word stream."""
 
     def __init__(self, seed: int, stream: int = 0):
-        self.seed = seed
-        self.stream = stream
-        self._key = stream_key(seed, stream)
+        self.seed = expect_int(seed, "seed", ParameterError)
+        self.stream = expect_int(stream, "stream", ParameterError)
+        self._key = stream_key(self.seed, self.stream)
         self._counter = 0
 
     def words(self, count: int, out: np.ndarray | None = None) -> np.ndarray:
@@ -158,6 +160,8 @@ class CounterRng:
 
     def integers(self, count: int, low: int, high: int) -> np.ndarray:
         """Integers in [low, high), via modulo (bias negligible for high - low << 2^64)."""
+        low = expect_int(low, "low", ParameterError)
+        high = expect_int(high, "high", ParameterError)
         if high <= low:
             raise ValueError(f"empty integer range [{low}, {high})")
         span = np.uint64(high - low)

@@ -763,3 +763,47 @@ def test_model_json_refuses_wrong_dense_size():
     doc["layers"][0]["w"].pop()
     with pytest.raises(ShapeError):
         model_from_json(doc)
+
+
+def test_each_layer_call_passes_one_tracer_wrapper(monkeypatch):
+    """The benchmark tracer wraps `forward` and `backward` from the `__dict__` of each
+    layer class, and `crosswise_forward`/`crosswise_backward` in `network`.  Wrapped
+    the same way here, every layer call is counted once, and the diagonal layers'
+    calls equal the diagonal products' calls: no call passes through two wrappers."""
+    spec = NetworkSpec(layers=(
+        LayerSpec(kind="dense", in_dim=6, out_dim=8, activation="relu"),
+        LayerSpec(kind="crosswise", in_dim=8, out_dim=8, activation="relu"),
+        LayerSpec(kind="crosswise_mixed", in_dim=8, out_dim=3, activation="softmax_output"),
+    ), seed=35)
+    net = build_network(spec)
+    data = gen_blobs(seed=7, samples_per_class=10, dims=6, class_count=3, spread=0.3)
+    counts = {}
+
+    def wrapped(owner, attr, key):
+        def counted(*args, original=owner.__dict__[attr], **kwargs):
+            counts[key] = counts.get(key, 0) + 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, attr, counted)
+
+    for owner, kind in ((DenseLayer, "dense"), (network.CrosswiseLayer, "diagonal"),
+                        (network.CrosswiseMixedLayer, "diagonal")):
+        for attr in ("forward", "backward"):
+            wrapped(owner, attr, (kind, attr))
+    for attr in ("forward", "backward"):
+        wrapped(network, f"crosswise_{attr}", ("product", attr))
+
+    def assert_passes(forward, backward):
+        """One dense and two diagonal layer calls per pass, each one diagonal product."""
+        expected = {("dense", "forward"): forward, ("dense", "backward"): backward}
+        for kind in ("diagonal", "product"):
+            expected.update({(kind, "forward"): 2 * forward, (kind, "backward"): 2 * backward})
+        assert counts == {key: n for key, n in expected.items() if n}
+        counts.clear()
+
+    network_forward(net, data.features[:4])
+    assert_passes(1, 0)
+    network_backward(net, data.features[:4], np.eye(3)[data.labels[:4]], "cross_entropy")
+    assert_passes(1, 1)
+    # 30 rows in batches of 7: 5 mini-batches, then one accuracy pass.
+    train_network(net, TrainConfig(0.1, 1, 7, "cross_entropy", 2), data)
+    assert_passes(6, 5)

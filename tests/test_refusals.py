@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from crosswise.datasets import Dataset, gen_blobs, gen_xor
-from crosswise.diagonal import CrosswiseWeights, block_count
+from crosswise.diagonal import CrosswiseWeights, block_count, init_crosswise
 from crosswise.errors import ParameterError, ShapeError, expect_int, expect_positive
 from crosswise.features import (
     FeatureMap,
@@ -20,6 +20,7 @@ from crosswise.features import (
     sample_block,
 )
 from crosswise.network import (
+    CrosswiseLayer,
     LayerSpec,
     NetworkSpec,
     TrainConfig,
@@ -28,6 +29,7 @@ from crosswise.network import (
     sgd_step,
 )
 from crosswise.products import verify_identities
+from crosswise.rng import CounterRng, derive_seed
 
 # (call, a word its message must hold).
 REFUSED = {
@@ -56,6 +58,24 @@ REFUSED = {
     "dataset-fractional-classes": (
         lambda: Dataset(np.zeros((2, 2)), np.array([0, 1]), 1.5), "class_count"),
     "identities-fractional-draws": (lambda: verify_identities(0, 4, 1.5), "draws"),
+    "rng-fractional-seed": (lambda: CounterRng(2.5).words(2), "seed"),
+    "rng-bool-seed": (lambda: CounterRng(True), "seed"),
+    "rng-fractional-stream": (lambda: CounterRng(1, stream=1.5).words(1), "stream"),
+    "rng-fractional-low": (lambda: CounterRng(1).integers(5, 0.5, 3), "low"),
+    "rng-fractional-high": (lambda: CounterRng(1).integers(5, 0, 3.5), "high"),
+    "derive-fractional-seed": (lambda: derive_seed(2.5, 1), "seed"),
+    "derive-fractional-label": (lambda: derive_seed(1, 0.5), "label"),
+    "plain-layer-given-a-stage": (
+        lambda: CrosswiseLayer(LayerSpec("crosswise", 4, 3), init_crosswise(0, 4, 3),
+                               np.ones(4), np.arange(4)), "crosswise_mixed"),
+    "mixed-layer-without-a-stage": (
+        lambda: CrosswiseLayer(LayerSpec("crosswise_mixed", 4, 3), init_crosswise(0, 4, 3)),
+        "crosswise_mixed"),
+    "mixed-layer-without-perm": (
+        lambda: CrosswiseLayer(LayerSpec("crosswise_mixed", 4, 3), init_crosswise(0, 4, 3),
+                               np.ones(4)), "crosswise_mixed"),
+    "dense-spec-as-a-diagonal-layer": (
+        lambda: CrosswiseLayer(LayerSpec("dense", 4, 3), init_crosswise(0, 4, 3)), "dense"),
 }
 
 
@@ -75,6 +95,44 @@ def test_sgd_step_refuses_a_non_finite_rate_before_any_write():
     after = [p for layer in net.layers for p in layer.params().values()]
     for old, new in zip(before, after):
         np.testing.assert_array_equal(old, new)
+
+
+def _dense_into_mixed():
+    """A dense 3->4 layer into a 4->4 crosswise_mixed one, and one backward's gradients."""
+    net = build_network(NetworkSpec((LayerSpec("dense", 3, 4), LayerSpec("crosswise_mixed", 4, 4)),
+                                    seed=7))
+    return net, network_backward(net, np.ones((2, 3)), np.zeros((2, 4)), "mse")
+
+
+# A malformed step for the network of `_dense_into_mixed`, and a word of the refusal.
+MALFORMED_STEPS = {
+    "first-layer-missing-b": (lambda g: [{"w": g[0]["w"]}, g[1]], r"layer 0 .*'b'"),
+    "first-layer-empty": (lambda g: [{}, g[1]], r"layer 0 .*'w'"),
+    "short-c-after-a-good-layer": (
+        lambda g: [g[0], {"c": np.zeros(3), "b": g[1]["b"]}], r"layer 1 grad 'c' has shape \(3,\)"),
+    "gradient-for-the-fixed-stage": (
+        lambda g: [g[0], {**g[1], "signs": np.zeros(4)}], r"layer 1 .*'signs'"),
+}
+
+
+@pytest.mark.parametrize("malformed, message", MALFORMED_STEPS.values(),
+                         ids=MALFORMED_STEPS.keys())
+def test_sgd_step_refuses_a_malformed_step_before_any_write(malformed, message):
+    net, grads = _dense_into_mixed()
+    before = [p.copy() for layer in net.layers for p in layer.params().values()]
+    with pytest.raises(ShapeError, match=message):
+        sgd_step(net, malformed(grads), 0.1)
+    after = [p for layer in net.layers for p in layer.params().values()]
+    for old, new in zip(before, after):
+        assert old.tobytes() == new.tobytes()
+
+
+def test_rng_takes_numpy_integers_as_their_values():
+    assert CounterRng(np.int64(7), stream=np.uint8(2)).words(3).tolist() == \
+        CounterRng(7, stream=2).words(3).tolist()
+    assert derive_seed(np.uint64(12345), np.int32(3)) == derive_seed(12345, 3)
+    assert CounterRng(1).integers(4, np.int64(2), np.int16(9)).tolist() == \
+        CounterRng(1).integers(4, 2, 9).tolist()
 
 
 @pytest.mark.parametrize("value", [np.int64(3), np.uint8(3), 3])
