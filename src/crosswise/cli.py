@@ -168,20 +168,16 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _parse_dims(items) -> list:
-    dims = []
-    for item in items:
-        parts = item.lower().split("x")
-        if len(parts) != 2:
-            raise ParameterError(f"--dims expects NxM, got {item!r}")
-        try:
-            n, m = int(parts[0]), int(parts[1])
-        except ValueError as exc:
-            raise ParameterError(f"--dims expects integers NxM, got {item!r}") from exc
-        if n < 1 or m < 1:
-            raise ParameterError(f"--dims must be positive, got {item!r}")
-        dims.append((n, m))
-    return dims
+def _positive_ints(text: str, sep: str, usage: str, count: int | None = None) -> list:
+    """The integers >= 1 that `sep` separates in `text` (`count` of them, if given), or
+    ParameterError with `usage`.  `int` takes the spaces around each; an empty one is refused."""
+    try:
+        values = [int(part) for part in text.lower().split(sep)]
+    except ValueError:
+        values = []
+    if not values or min(values) < 1 or count not in (None, len(values)):
+        raise ParameterError(f"{usage}, got {text!r}")
+    return values
 
 
 def _median_forward_ns(net, x, reps: int) -> int:
@@ -198,7 +194,8 @@ def _median_forward_ns(net, x, reps: int) -> int:
 def cmd_bench(args) -> int:
     if args.reps < 10:
         raise ParameterError(f"--reps must be at least 10, got {args.reps}")
-    dims = _parse_dims(args.dims)
+    dims = [_positive_ints(item, "x", "--dims expects NxM, two positive integers", 2)
+            for item in args.dims]
     rows = []
     for n, m in dims:
         for kind in ("dense", "crosswise"):
@@ -214,21 +211,11 @@ def cmd_bench(args) -> int:
     return 0
 
 
-def _parse_block_counts(text: str) -> list:
-    try:
-        counts = [int(part) for part in text.split(",") if part.strip()]
-    except ValueError as exc:
-        raise ParameterError(f"--blocks expects comma-separated integers, got {text!r}") from exc
-    if not counts or any(b < 1 for b in counts):
-        raise ParameterError(f"--blocks entries must be positive, got {text!r}")
-    return counts
-
-
 def cmd_kernel_check(args) -> int:
     expect_int(args.pairs, "--pairs", ParameterError, 1)
     expect_int(args.d, "--d", ParameterError, 1)
     expect_positive(args.sigma, "--sigma")
-    blocks = _parse_block_counts(args.blocks)
+    blocks = _positive_ints(args.blocks, ",", "--blocks expects comma-separated positive integers")
 
     rng = CounterRng(args.seed, stream=0)
     raw = rng.normal(2 * args.pairs * args.d).reshape(2 * args.pairs, args.d)
@@ -272,12 +259,8 @@ def cmd_algebra_check(args) -> int:
 
 
 def cmd_gen_data(args) -> int:
-    if args.kind == "blobs":
-        data = gen_blobs(seed=args.seed, samples_per_class=args.per_class,
-                         dims=args.dims, class_count=args.classes,
-                         spread=args.spread)
-    else:
-        data = gen_xor(seed=args.seed, samples=args.samples, noise=args.noise)
+    builder, table = _DATA_KINDS[args.kind]  # each flag's dest is its key in the table
+    data = builder(*(getattr(args, key) for key in table))
     save_csv(data, args.out)
     print(f"wrote {data.sample_count} rows to {args.out}")
     return 0
@@ -329,7 +312,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--kind", required=True, choices=("blobs", "xor"))
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--out", required=True, help="output CSV path")
-    p_gen.add_argument("--per-class", type=int, default=100,
+    p_gen.add_argument("--per-class", type=int, default=100, dest="samples_per_class",
                        help="blobs: samples per class")
     p_gen.add_argument("--dims", type=int, default=4, help="blobs: feature dimension")
     p_gen.add_argument("--classes", type=int, default=2, help="blobs: class count")

@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -39,7 +38,7 @@ def fwht(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
     H_2 = [[1, 1], [1, -1]] and H_{2n} = H_2 kron H_n; the last axis must have
     power-of-two length.  A `(B, n)` input transforms each row exactly as the
-    row alone would be transformed.  The input is not modified unless it is `out`.
+    row alone would be transformed.
 
     Bit-rotating (Pease's fixed-geometry form): each of the log2 n levels reads
     the pairs (2j, 2j+1) of the flat C-ordered `(..., n)` data as two stride-2
@@ -47,20 +46,19 @@ def fwht(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     differences to the second half.  The level's butterfly bit moves to the top
     of the index, so level h = 1, 2, 4, ... pairs the same values as the
     radix-2 recursion's level h, in the same order, and the result is
-    bit-identical to it.  The first level reads `v` in whatever layout it has.
-    The two halves and the two stride-2 views of each buffer's flat data are
-    made once per call, so a level is one add and one subtract on ready views.
+    bit-identical to it.  The two halves and the two stride-2 views of each
+    buffer's flat data are made once per call, so a level is one add and one
+    subtract on ready views.
 
     After the last level the data is laid out `(n, *lead)` in C order.  The
     result is a view of it with the transform axis moved back to the end: a
     `(B, n)` input comes back as the transpose of a C-ordered `(n, B)` array
     (Fortran order), and a 1-D input as a contiguous vector.
 
-    `out`, if given, is a C-contiguous float64 array of the input's shape, or
-    else ShapeError, and its contents are lost: it and one new buffer are the
-    two buffers the levels alternate between.  The result is a view of `out`,
-    except when `out` is `v` itself and log2 n is odd: then it is a view of the
-    new buffer.
+    Without `out`, the levels run on a C-ordered copy and `v` is left unchanged.  With
+    `out=v`, `v` is the caller's C-contiguous float64 scratch: it and one new buffer are
+    the two the levels alternate between, and the result is a view of `v` when log2 n is
+    even, else of the new buffer.  Any other `out` raises ShapeError.
     """
     v = np.asarray(v, dtype=np.float64)
     if v.ndim == 0:
@@ -69,22 +67,15 @@ def fwht(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     if n < 1 or (n & (n - 1)) != 0:
         raise ShapeError(f"fwht length must be a power of two, got {n}")
     if out is None:
-        out = np.empty(v.shape)
-    elif (getattr(out, "shape", None) != v.shape or out.dtype != np.float64
-          or not out.flags.c_contiguous):
-        raise ShapeError(f"fwht out must be a C-contiguous float64 array of shape {v.shape}")
+        v = v.copy(order="C")
+    elif out is not v or not v.flags.c_contiguous:
+        raise ShapeError("fwht out must be the input itself, a C-contiguous float64 array")
     levels, half = n.bit_length() - 1, v.size // 2
-    # The last level writes `out`, unless the first must not (it reads `out`).
-    spare = np.empty(v.shape) if levels > 1 or out is v else None
-    pair = (out, spare) if levels % 2 and out is not v else (spare, out)
-    if levels == 0 and out is not v:
-        np.copyto(out, v)
-    views = [(f[:half], f[half:], f[0::2], f[1::2]) for f in (b.reshape(-1) for b in pair[:levels])]
-    evens, odds = v[..., 0::2], v[..., 1::2]
+    pair = (np.empty(v.shape), v)  # level i writes pair[i % 2]; the first reads `v`
+    views = [(f[:half], f[half:], f[0::2], f[1::2]) for f in (b.reshape(-1) for b in pair)]
+    evens, odds = views[1][2:]
     for level in range(levels):
         sums, diffs, next_evens, next_odds = views[level % 2]
-        if not level:  # the first level reads `v` in its own layout
-            sums, diffs = sums.reshape(evens.shape), diffs.reshape(evens.shape)
         np.add(evens, odds, out=sums)
         np.subtract(evens, odds, out=diffs)
         evens, odds = next_evens, next_odds
@@ -208,9 +199,9 @@ def sample_block(seed: int, d: int, sigma: float) -> McKernelBlock:
 def apply_zhat(block: McKernelBlock, x: np.ndarray) -> np.ndarray:
     """Apply the structured operator along the last axis of x, zero-padded to length n.
 
-    `x` is one input `(d,)` or a `(B, d)` batch.  `block` is one block, or the
-    blocks of a map stacked by `feature_map_apply` into `(blocks, n)` factors,
-    which adds a leading blocks axis to the output: `(blocks, ..., n)`.  The
+    `x` is one input `(d,)` or a `(B, d)` batch.  `block` is one block, or a
+    `FeatureMap`, whose factors are its blocks' stacked into `(blocks, n)` arrays:
+    that adds a leading blocks axis to the output, `(blocks, ..., n)`.  The
     output is C-ordered.
     """
     x = np.asarray(x, dtype=np.float64)
@@ -229,31 +220,36 @@ def apply_zhat(block: McKernelBlock, x: np.ndarray) -> np.ndarray:
     return v
 
 
-@dataclass
+@dataclass(frozen=True)
 class FeatureMap:
-    """Independently sampled blocks sharing n and sigma; 2*n features per block."""
+    """Independently sampled blocks sharing n and sigma; 2*n features per block.
+
+    When the map is built, it keeps its blocks' shared `n` and `sigma` and stacks their
+    factors once into the `(blocks, n)` attributes `b_signs`, `perm`, `g_diag` and `c_diag`:
+    the map is the stacked operand that `apply_zhat` takes.  A block array changed in
+    place later does not reach them.
+    """
 
     blocks: tuple[McKernelBlock, ...]
     input_dim: int
 
     def __post_init__(self):
+        self.__dict__["blocks"] = tuple(self.blocks)  # frozen; a list given stays the caller's
         if not self.blocks:
             raise ParameterError("feature map needs at least one block")
-        n0, sigma0 = self.blocks[0].n, self.blocks[0].sigma
-        if any(b.n != n0 or b.sigma != sigma0 for b in self.blocks):
+        n, sigma = self.blocks[0].n, self.blocks[0].sigma
+        if any(b.n != n or b.sigma != sigma for b in self.blocks):
             raise ParameterError("all blocks must share n and sigma")
-        if expect_int(self.input_dim, "input dimension", ParameterError, 1) > n0:
+        if expect_int(self.input_dim, "input dimension", ParameterError, 1) > n:
             raise ShapeError(
-                f"input dimension {self.input_dim} exceeds block dimension {n0}"
+                f"input dimension {self.input_dim} exceeds block dimension {n}"
             )
-
-    @property
-    def n(self) -> int:
-        return self.blocks[0].n
-
-    @property
-    def sigma(self) -> float:
-        return self.blocks[0].sigma
+        # The float factors in one (3, blocks, n) array: a separate array each left the
+        # features-apply set-up's peak RSS at 112 MB, not 104 (glibc's heap layout).
+        b_signs, g_diag, c_diag = np.array([[getattr(b, name) for b in self.blocks]
+                                            for name in ("b_signs", "g_diag", "c_diag")])
+        self.__dict__.update(n=n, sigma=sigma, b_signs=b_signs, g_diag=g_diag, c_diag=c_diag,
+                             perm=np.array([b.perm for b in self.blocks]))
 
     @property
     def total_features(self) -> int:
@@ -274,20 +270,14 @@ def feature_map_apply(fm: FeatureMap, x: np.ndarray) -> np.ndarray:
 
     `x` is one input `(d,)` or a `(B, d)` batch; the output is `(2*n*blocks,)`
     or `(B, 2*n*blocks)`: per block, the n cosines then the n sines.  All
-    blocks go through one `apply_zhat` call on their stacked factors.
+    blocks go through one `apply_zhat` call on the map's stacked factors.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 0 or x.shape[-1] != fm.input_dim:
         raise ShapeError(
             f"feature map input must have last axis {fm.input_dim}, got shape {x.shape}"
         )
-    b_signs, g_diag, c_diag = np.array(
-        [[getattr(b, name) for b in fm.blocks] for name in ("b_signs", "g_diag", "c_diag")]
-    )
-    perm = np.array([b.perm for b in fm.blocks])
-    stack = SimpleNamespace(n=fm.n, sigma=fm.sigma, b_signs=b_signs, perm=perm,
-                            g_diag=g_diag, c_diag=c_diag)
-    z = np.moveaxis(apply_zhat(stack, x), 0, -2)
+    z = np.moveaxis(apply_zhat(fm, x), 0, -2)
     paired = np.empty(z.shape[:-1] + (2, fm.n))
     np.cos(z, out=paired[..., 0, :])
     np.sin(z, out=paired[..., 1, :])

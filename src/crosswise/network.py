@@ -377,14 +377,15 @@ def sgd_step(net: Network, grads: list, learning_rate: float) -> Network:
     steps = []
     for i, layer in enumerate(net.layers):
         params = layer.params()
+        if not isinstance(grads[i], dict):
+            raise ShapeError(f"layer {i} gradients must be a dict, got {type(grads[i]).__name__}")
         if grads[i].keys() != params.keys():
             raise ShapeError(f"layer {i} grad keys {sorted(grads[i])} != its {sorted(params)}")
         for name, p in params.items():
             g = grads[i][name]
-            if g.shape != p.shape:
-                raise ShapeError(
-                    f"layer {i} grad {name!r} has shape {g.shape}, parameter is {p.shape}"
-                )
+            if not isinstance(g, np.ndarray) or g.shape != p.shape:
+                got = f"shape {g.shape}" if isinstance(g, np.ndarray) else f"type {type(g).__name__}"
+                raise ShapeError(f"layer {i} grad {name!r} has {got}, parameter is {p.shape}")
             steps.append((p, g))
     for p, g in steps:
         p -= learning_rate * g

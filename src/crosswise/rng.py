@@ -66,6 +66,8 @@ def stream_key(seed: int, stream: int) -> int:
 
 def word_at(seed: int, stream: int, counter: int) -> int:
     """Reference (scalar) form of the generator; words() must match it."""
+    seed, stream, counter = (expect_int(value, name, ParameterError) for value, name in
+                             ((seed, "seed"), (stream, "stream"), (counter, "counter")))
     return mix64((stream_key(seed, stream) + counter * _GOLDEN) & _MASK64)
 
 

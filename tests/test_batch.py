@@ -193,22 +193,22 @@ def test_fwht_out_is_scratch_bit_for_bit(n, batch, rank, seed, zeros, infs):
         result = fwht(v, out=v)
         np.testing.assert_array_equal(_bits(result), expected)
         assert np.shares_memory(result, v) == (n.bit_length() % 2 == 1)
-        # `out` is a separate buffer: the result lands in it, the input stays.
-        out = np.empty(lead + (n,))
-        result = fwht(x, out=out)
-    np.testing.assert_array_equal(_bits(result), expected)
-    assert np.shares_memory(result, out)
-    # Either way the result is a view of a C-ordered (n, *lead) array.
+    # The result is a view of a C-ordered (n, *lead) array.
     assert result.transpose(-1, *range(rank)).flags.c_contiguous
     np.testing.assert_array_equal(_bits(x), _bits(kept))
 
-    wrong = [np.empty(lead + (2 * n,)), np.empty(lead + (n,), np.float32), x.tolist()]
+    # Any `out` but the input itself is refused, even one of its shape, dtype and layout.
+    wrong = [np.empty(lead + (n,)), np.empty(lead + (2 * n,)), np.empty(lead + (n,), np.float32),
+             x.tolist()]
     if x.size > 1:
         # Every other float64 of a buffer: never contiguous, whatever the shape.
         wrong.append(np.empty(lead + (n, 2))[..., 0])
     if n > 1 and x.size > n:
         # The result's own layout, (n, *lead) in C order: not C-ordered as (*lead, n).
         wrong.append(np.empty((n, *lead)).transpose(*range(1, rank + 1), 0))
+        # Nor is such an input its own scratch: the levels read its flat data.
+        with pytest.raises(ShapeError):
+            fwht(wrong[-1], out=wrong[-1])
     for bad in wrong:
         with pytest.raises(ShapeError):
             fwht(x, out=bad)

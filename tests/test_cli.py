@@ -129,24 +129,31 @@ def test_train_refuses_one_file_for_both_outputs(tmp_path):
         assert not (tmp_path / "same.out").exists()
 
 
-# (command line, the library call that does the command's work)
+def _in_cli(name):
+    return lambda monkeypatch, refuse: monkeypatch.setattr(cli, name, refuse)
+
+
+# (command line, what puts `refuse` where the command looks up the call that does its work).
+# gen-data calls the builder that `cli._DATA_KINDS` holds for its --kind.
 EARLY_OUTPUT_CHECKS = {
-    "bench": (["bench", "--dims", "1024x1024"], "build_network"),
-    "kernel-check": (["kernel-check", "--d", "1024", "--blocks", "1,64"], "sample_feature_map"),
-    "algebra-check": (["algebra-check"], "verify_identities"),
-    "gen-data": (["gen-data", "--kind", "xor"], "gen_xor"),
+    "bench": (["bench", "--dims", "1024x1024"], _in_cli("build_network")),
+    "kernel-check": (["kernel-check", "--d", "1024", "--blocks", "1,64"],
+                     _in_cli("sample_feature_map")),
+    "algebra-check": (["algebra-check"], _in_cli("verify_identities")),
+    "gen-data": (["gen-data", "--kind", "xor"], lambda monkeypatch, refuse: monkeypatch.setitem(
+        cli._DATA_KINDS, "xor", (refuse, cli._DATA_KINDS["xor"][1]))),
 }
 
 
 @pytest.mark.parametrize("command", sorted(EARLY_OUTPUT_CHECKS))
 def test_output_path_checked_before_work(tmp_path, monkeypatch, capsys, command):
     """A missing --out directory exits 4 before any work, and creates no file."""
-    argv, work = EARLY_OUTPUT_CHECKS[command]
+    argv, install = EARLY_OUTPUT_CHECKS[command]
 
     def refuse(*args, **kwargs):
         raise AssertionError(f"{command} did its work before checking --out")
 
-    monkeypatch.setattr(cli, work, refuse)
+    install(monkeypatch, refuse)
     assert cli.main([*argv, "--out", str(tmp_path / "missing_dir" / "out.csv")]) == 4
     assert "missing_dir" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
@@ -271,6 +278,30 @@ def test_bench_rejects_malformed_dims(tmp_path):
         result = run_cli("bench", "--dims", bad, "--reps", "10",
                          "--out", str(tmp_path / "b.csv"))
         assert result.returncode == 2, bad
+
+
+# (command line before the list flag, the flag, its value, the exit code).  One parser
+# reads both flags: every entry a positive integer, spaces around it allowed.
+LIST_FLAGS = [
+    *((["bench", "--reps", "10"], "--dims", value, 2)
+      for value in ("4", "4x", "ax8", "0x8", "4x8x", "")),
+    *((["bench", "--reps", "10"], "--dims", value, 0) for value in ("4x8", "4X8", " 4x8")),
+    *((["kernel-check", "--d", "4", "--pairs", "2"], "--blocks", value, 2)
+      for value in ("0", "", "a", "1,,4", "1,64,")),
+    *((["kernel-check", "--d", "4", "--pairs", "2"], "--blocks", value, 0)
+      for value in ("1,64", " 1, 4")),
+]
+
+
+@pytest.mark.parametrize("argv, flag, value, code", LIST_FLAGS,
+                         ids=[f"{flag}={value!r}" for _, flag, value, _ in LIST_FLAGS])
+def test_list_flags_take_positive_integers_only(tmp_path, capsys, argv, flag, value, code):
+    out = tmp_path / "out.csv"
+    assert cli.main([*argv, flag, value, "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert out.exists() == (code == 0)
+    if code:
+        assert flag in err and repr(value) in err
 
 
 def test_kernel_check_report(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import sys
@@ -316,6 +317,24 @@ def test_feature_map_validation():
     mixed = (sample_block(0, 8, 1.0), sample_block(1, 8, 2.0))
     with pytest.raises(ParameterError):
         FeatureMap(blocks=mixed, input_dim=8)
+
+
+def test_feature_map_is_frozen_with_its_factors_stacked_once():
+    blocks = [sample_block(0, 8, 1.0), sample_block(1, 8, 1.0)]
+    fm = FeatureMap(blocks=blocks, input_dim=5)
+    x = CounterRng(3).normal(5)
+    before = feature_map_apply(fm, x)
+    for name in ("b_signs", "perm", "g_diag", "c_diag"):
+        stacked = getattr(fm, name)
+        assert stacked.shape == (2, 8)
+        np.testing.assert_array_equal(stacked, [getattr(b, name) for b in blocks])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        fm.input_dim = 8
+    # What the caller does to its list or to a block's arrays later does not reach the map.
+    blocks.append(sample_block(2, 8, 1.0))
+    blocks[0].g_diag *= 2.0
+    assert len(fm.blocks) == 2 and fm.total_features == 32
+    assert feature_map_apply(fm, x).tobytes() == before.tobytes()
 
 
 def test_feature_map_shape_error_reports_last_axis():

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crosswise import features, network
 from crosswise.datasets import Dataset, gen_blobs
@@ -364,6 +366,60 @@ def test_crosswise_grad_equals_dense_twin_diagonal():
     grad_w = network_backward(dense_twin, x, target, "mse")[0]["w"]
     for r in range(8):
         assert grad_c[r] == grad_w[r, r % 4]
+
+
+def test_plain_64_256_4_stack_reads_inputs_0_to_3_only():
+    """The paper counts 512 weights for this stack; its head reads 4 of 256 outputs,
+    and those read inputs 0-3.  Of the head's 256 coefficients, 252 are dead."""
+    net = build_network(NetworkSpec((LayerSpec("crosswise", 64, 256, "identity"),
+                                     LayerSpec("crosswise", 256, 4, "identity")), seed=11))
+    x = CounterRng(11, stream=3).normal(8 * 64).reshape(8, 64)
+    y, z = x.copy(), x.copy()
+    y[:, 4:] = CounterRng(12, stream=3).normal(8 * 60).reshape(8, 60)
+    z[:, :4] += 1.0
+    assert network_forward(net, y).tobytes() == network_forward(net, x).tobytes()
+    assert (network_forward(net, z) != network_forward(net, x)).all()
+    head = network_backward(net, x, np.zeros((8, 4)), "mse")[1]["c"]
+    assert head.shape == (256,) and head[:4].all() and not head[4:].any()
+
+
+@st.composite
+def _stack(draw, kinds):
+    """Layer specs whose narrowest output width is below the input width, and that width."""
+    in_dim = draw(st.integers(2, 16))
+    outs = draw(st.lists(st.integers(1, 24), min_size=0, max_size=3))
+    outs.insert(draw(st.integers(0, len(outs))), draw(st.integers(1, in_dim - 1)))
+    widths = [in_dim, *outs]
+    return tuple(LayerSpec(draw(st.sampled_from(kinds)), n, m,
+                           draw(st.sampled_from(("relu", "identity"))))
+                 for n, m in zip(widths, outs)), min(outs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_stack(("crosswise",)), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_plain_stack_output_ignores_inputs_from_its_narrowest_width(stack, rows, seed):
+    layers, narrowest = stack
+    net = build_network(NetworkSpec(layers, seed=seed))
+    gen = np.random.default_rng(seed)
+    x = gen.standard_normal((rows, layers[0].in_dim))
+    y = x.copy()
+    y[:, narrowest:] = gen.standard_normal((rows, layers[0].in_dim - narrowest))
+    assert network_forward(net, y).tobytes() == network_forward(net, x).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(_stack(("crosswise", "crosswise_mixed")), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_coefficients_that_no_output_reads_get_zero_gradient(stack, rows, seed):
+    """Output j reads coefficient j only: the last k*N - M of a layer's k*N are dead."""
+    layers, _ = stack
+    net = build_network(NetworkSpec(layers, seed=seed))
+    gen = np.random.default_rng(seed)
+    x = gen.standard_normal((rows, layers[0].in_dim))
+    grads = network_backward(net, x, gen.standard_normal((rows, layers[-1].out_dim)), "mse")
+    for layer, grad in zip(net.layers, grads):
+        w = layer.weights
+        assert grad["c"].shape == (w.k * w.in_dim,)
+        assert not grad["c"][w.out_dim:].any()
 
 
 def test_sgd_step_examples():

@@ -29,7 +29,7 @@ from crosswise.network import (
     sgd_step,
 )
 from crosswise.products import verify_identities
-from crosswise.rng import CounterRng, derive_seed
+from crosswise.rng import CounterRng, derive_seed, word_at
 
 # (call, a word its message must hold).
 REFUSED = {
@@ -65,6 +65,10 @@ REFUSED = {
     "rng-fractional-high": (lambda: CounterRng(1).integers(5, 0, 3.5), "high"),
     "derive-fractional-seed": (lambda: derive_seed(2.5, 1), "seed"),
     "derive-fractional-label": (lambda: derive_seed(1, 0.5), "label"),
+    "word-fractional-seed": (lambda: word_at(2.5, 0, 0), "seed"),
+    "word-fractional-stream": (lambda: word_at(1, 0.5, 0), "stream"),
+    "word-fractional-counter": (lambda: word_at(1, 0, 0.5), "counter"),
+    "word-bool-counter": (lambda: word_at(1, 0, True), "counter"),
     "plain-layer-given-a-stage": (
         lambda: CrosswiseLayer(LayerSpec("crosswise", 4, 3), init_crosswise(0, 4, 3),
                                np.ones(4), np.arange(4)), "crosswise_mixed"),
@@ -112,6 +116,11 @@ MALFORMED_STEPS = {
         lambda g: [g[0], {"c": np.zeros(3), "b": g[1]["b"]}], r"layer 1 grad 'c' has shape \(3,\)"),
     "gradient-for-the-fixed-stage": (
         lambda g: [g[0], {**g[1], "signs": np.zeros(4)}], r"layer 1 .*'signs'"),
+    "none-for-a-layer": (lambda g: [None, g[1]], r"layer 0 gradients must be a dict"),
+    "nested-list-for-an-array": (
+        lambda g: [{**g[0], "w": g[0]["w"].tolist()}, g[1]], r"layer 0 grad 'w' has type list"),
+    "list-after-a-good-layer": (
+        lambda g: [g[0], {**g[1], "c": g[1]["c"].tolist()}], r"layer 1 grad 'c' has type list"),
 }
 
 
@@ -133,6 +142,11 @@ def test_rng_takes_numpy_integers_as_their_values():
     assert derive_seed(np.uint64(12345), np.int32(3)) == derive_seed(12345, 3)
     assert CounterRng(1).integers(4, np.int64(2), np.int16(9)).tolist() == \
         CounterRng(1).integers(4, 2, 9).tolist()
+
+
+def test_word_at_takes_numpy_integers_as_their_values():
+    """They were a raw OverflowError: a 64-bit constant times a NumPy integer."""
+    assert word_at(np.uint64(12345), np.int8(-3), np.int64(9)) == word_at(12345, -3, 9)
 
 
 @pytest.mark.parametrize("value", [np.int64(3), np.uint8(3), 3])
