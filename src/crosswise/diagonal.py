@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, ShapeError, expect_int
+from .errors import ParameterError, ShapeError, expect_choice, expect_int
 from .rng import CounterRng
 
 ACTIVATIONS = ("relu", "identity")
@@ -59,11 +59,6 @@ class CrosswiseWeights:
         return {**self.__dict__, "_blocks_of": None, "_blocks": None}
 
 
-def _check_activation(activation: str):
-    if activation not in ACTIVATIONS:
-        raise ParameterError(f"activation must be one of {ACTIVATIONS}, got {activation!r}")
-
-
 def _pre_activation(w: CrosswiseWeights, x: np.ndarray) -> np.ndarray:
     if x.shape[-1:] != (w.in_dim,):
         raise ShapeError(
@@ -80,7 +75,7 @@ def crosswise_forward(w: CrosswiseWeights, x: np.ndarray, activation: str = "rel
 
     `x` is one input of length N or a `(B, N)` batch of them, one per row.
     """
-    _check_activation(activation)
+    expect_choice(activation, ACTIVATIONS, "activation")
     pre = _pre_activation(w, x)
     if activation == "relu":
         np.maximum(pre, 0.0, out=pre)  # `pre` is a fresh array
@@ -108,7 +103,7 @@ def crosswise_backward(
     `out`, if given, must be what `crosswise_forward` returned for this `x`:
     the ReLU mask is then read from it instead of recomputing the product.
     """
-    _check_activation(activation)
+    expect_choice(activation, ACTIVATIONS, "activation")
     if out is None:
         out = _pre_activation(w, x)
     elif x.shape[-1:] != (w.in_dim,) or out.shape[-1:] != (w.out_dim,):
@@ -130,6 +125,8 @@ def crosswise_backward(
         g_ext[..., : w.out_dim] = g
     g_blocks = g_ext.reshape(*g.shape[:-1], w.k, w.in_dim)
     grad_c = np.add.reduce((g_blocks * x[..., None, :]).reshape(-1, w.k * w.in_dim), axis=0)
+    if w.out_dim < w.k * w.in_dim:  # past the truncated stack, read by no output (0 * inf is NaN)
+        grad_c[w.out_dim :] = 0.0
     grad_b = np.add.reduce(g.reshape(-1, w.out_dim), axis=0)
     if not input_grad:
         return grad_c, grad_b, None

@@ -50,10 +50,24 @@ def expect_int(value, context: str, error: type = ConfigError, low: int | None =
     return int(value)
 
 
+def expect_finite(value, context: str, what: str = "a finite number"):
+    """`value` if it is a finite real number (a bool is not); else ParameterError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)) \
+            or not -np.inf < value < np.inf:
+        raise ParameterError(f"{context} must be {what}, got {value!r}")
+    return value
+
+
 def expect_positive(value, context: str, zero: bool = False) -> None:
     """Refuse `value` with ParameterError, naming its repr, unless it is a finite real number
-    > 0, or 0 if `zero` (a bool is not a number)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)) \
-            or not (0 < value < np.inf or zero and value == 0):
-        raise ParameterError(
-            f"{context} must be {'>= 0' if zero else 'positive'} and finite, got {value!r}")
+    > 0, or 0 if `zero`."""
+    what = f"{'>= 0' if zero else 'positive'} and finite"
+    if not (0 < expect_finite(value, context, what) or zero and value == 0):
+        raise ParameterError(f"{context} must be {what}, got {value!r}")
+
+
+def expect_choice(value, choices: tuple, context: str) -> str:
+    """`value` if it is one of the strings `choices`; else ParameterError, naming its repr."""
+    if not isinstance(value, str) or value not in choices:
+        raise ParameterError(f"{context} must be one of {choices}, got {value!r}")
+    return value

@@ -234,6 +234,9 @@ class FeatureMap:
     input_dim: int
 
     def __post_init__(self):
+        if not isinstance(self.blocks, (list, tuple)) or not all(
+                isinstance(block, McKernelBlock) for block in self.blocks):
+            raise ParameterError("feature map blocks must be a list or tuple of McKernelBlock")
         self.__dict__["blocks"] = tuple(self.blocks)  # frozen; a list given stays the caller's
         if not self.blocks:
             raise ParameterError("feature map needs at least one block")

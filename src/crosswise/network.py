@@ -41,8 +41,8 @@ from .diagonal import (
     crosswise_forward,
     init_crosswise,
 )
-from .errors import (DivergenceError, ParameterError, ShapeError, expect_int, expect_keys,
-                     expect_positive)
+from .errors import (DivergenceError, ParameterError, ShapeError, expect_choice, expect_int,
+                     expect_keys, expect_positive)
 from .features import fwht, mix, mixing_factors, next_power_of_two
 from .rng import CounterRng, derive_seed
 
@@ -59,14 +59,10 @@ class LayerSpec:
     activation: str = "relu"
 
     def __post_init__(self):
-        if self.kind not in LAYER_KINDS:
-            raise ParameterError(f"layer kind must be one of {LAYER_KINDS}, got {self.kind!r}")
+        expect_choice(self.kind, LAYER_KINDS, "layer kind")
         expect_int(self.in_dim, "layer in_dim", ParameterError, 1)
         expect_int(self.out_dim, "layer out_dim", ParameterError, 1)
-        if self.activation not in NETWORK_ACTIVATIONS:
-            raise ParameterError(
-                f"activation must be one of {NETWORK_ACTIVATIONS}, got {self.activation!r}"
-            )
+        expect_choice(self.activation, NETWORK_ACTIVATIONS, "activation")
 
 
 @dataclass(frozen=True)
@@ -75,6 +71,10 @@ class NetworkSpec:
     seed: int
 
     def __post_init__(self):
+        if not isinstance(self.layers, (list, tuple)) or not all(
+                isinstance(layer, LayerSpec) for layer in self.layers):
+            raise ParameterError(f"network layers must be a list of LayerSpec, got "
+                                 f"{self.layers!r}")
         object.__setattr__(self, "layers", tuple(self.layers))
         expect_int(self.seed, "network seed", ParameterError)
         if not self.layers:
@@ -104,8 +104,7 @@ class TrainConfig:
         expect_int(self.epochs, "epochs", ParameterError, 0)
         expect_int(self.batch_size, "batch_size", ParameterError, 1)
         expect_int(self.seed, "seed", ParameterError)
-        if self.loss not in LOSS_KINDS:
-            raise ParameterError(f"loss must be one of {LOSS_KINDS}, got {self.loss!r}")
+        expect_choice(self.loss, LOSS_KINDS, "loss")
 
 
 @dataclass
@@ -263,17 +262,18 @@ def build_network(spec: NetworkSpec) -> "Network":
             fixed = CounterRng(lseed, stream=1)
             stage = (fixed.rademacher(pad), fixed.permutation(pad))
         layers.append(CrosswiseLayer(lspec, init_crosswise(lseed, pad, lspec.out_dim), *stage))
-    return Network(spec, layers)
+    return Network(layers, spec.seed)
 
 
 class Network:
-    def __init__(self, spec: NetworkSpec, layers: list):
-        if len(layers) != len(spec.layers):
-            raise ShapeError(
-                f"spec has {len(spec.layers)} layers but {len(layers)} were built"
-            )
-        self.spec = spec
-        self.layers = layers
+    """Layers applied in order.  Its spec is read from the layers when it is built, so the
+    spec's checks run on every network and the spec always describes the layers it holds."""
+
+    def __init__(self, layers: list, seed: int = 0):
+        if not isinstance(layers, (list, tuple)) or not all(
+                isinstance(getattr(layer, "spec", None), LayerSpec) for layer in layers):
+            raise ParameterError(f"network layers must be a list of layers, got {layers!r}")
+        self.spec, self.layers = NetworkSpec(tuple(layer.spec for layer in layers), seed), layers
 
     @property
     def in_dim(self) -> int:
@@ -316,8 +316,7 @@ def softmax(z: np.ndarray) -> np.ndarray:
 def _checked_target(kind: str, target, shape: tuple):
     """`target` as float64 and, for cross_entropy, each row's hot index; refuses an
     unknown loss, a shape other than `shape` and cross_entropy rows not one-hot."""
-    if kind not in LOSS_KINDS:
-        raise ParameterError(f"loss must be one of {LOSS_KINDS}, got {kind!r}")
+    expect_choice(kind, LOSS_KINDS, "loss")
     target = np.asarray(target, dtype=np.float64)
     if target.shape != shape:
         raise ShapeError(f"prediction length {shape} != target length {target.shape}")
@@ -448,7 +447,7 @@ def _stepped_network(net: Network, features: np.ndarray):
                 n = layer.pad
             layer = layer.narrowed(n, need, keep_stage=i > 0)
         layers[i], need = layer, layer.spec.in_dim
-    return Network(net.spec, layers), features[:, :need], staged
+    return Network(layers, net.spec.seed), features[:, :need], staged
 
 
 def train_network(net: Network, cfg: TrainConfig, data, threads: int = 1) -> list:
@@ -620,7 +619,6 @@ def model_from_json(doc: dict, seed: int = 0) -> Network:
         raise ParameterError(f"unsupported model version {doc['version']!r}")
     if not isinstance(doc["layers"], list):
         raise ParameterError("model.layers must be a list")
-    specs = []
     layers = []
     for i, entry in enumerate(doc["layers"]):
         context = f"model.layers[{i}]"
@@ -647,6 +645,5 @@ def model_from_json(doc: dict, seed: int = 0) -> Network:
             stage = [_model_array(entry, key, context, kinds)
                      for key, kinds in (("signs", "if"), ("perm", "i")) if key in entry]
             layer = CrosswiseLayer(lspec, weights, *stage)
-        specs.append(lspec)
         layers.append(layer)
-    return Network(NetworkSpec(layers=tuple(specs), seed=seed), layers)
+    return Network(layers, seed)

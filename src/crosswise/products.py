@@ -102,7 +102,7 @@ def verify_identities(seed: int, max_dim: int, draws: int = 100) -> IdentityRepo
     inverse identities use diagonally boosted full-column-rank draws;
     rank-deficient draws are re-sampled with a bounded retry budget.
     """
-    if not 2 <= max_dim <= 8:
+    if not 2 <= expect_int(max_dim, "max_dim", ParameterError) <= 8:
         raise ParameterError(f"max_dim must be in [2, 8], got {max_dim}")
     expect_int(draws, "draws", ParameterError, 1)
 

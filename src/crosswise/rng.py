@@ -41,7 +41,7 @@ from collections.abc import Callable
 
 import numpy as np
 
-from .errors import ParameterError, expect_int
+from .errors import ParameterError, expect_finite, expect_int
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -126,6 +126,7 @@ class CounterRng:
         return _mix64_inplace(z, shifted)
 
     def uniform(self, count: int, low: float = 0.0, high: float = 1.0) -> np.ndarray:
+        low, high = expect_finite(low, "low"), expect_finite(high, "high")
         u = (self.words(count) >> np.uint64(11)).astype(np.float64) * _INV_2_53
         return low + (high - low) * u
 
@@ -165,7 +166,7 @@ class CounterRng:
         low = expect_int(low, "low", ParameterError)
         high = expect_int(high, "high", ParameterError)
         if high <= low:
-            raise ValueError(f"empty integer range [{low}, {high})")
+            raise ParameterError(f"high must be > low, got the empty range [{low}, {high})")
         span = np.uint64(high - low)
         return (self.words(count) % span).astype(np.int64) + low
 

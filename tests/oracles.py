@@ -107,12 +107,15 @@ def mixing_stage(x, signs, perm):
 
 def zero_padded_block_grads(c, m, x, g):
     """(grad_c, grad_x) of the diagonal map from a zero-filled (..., k*N) copy
-    of the masked upstream `g`, summed over rows in that array's C order."""
+    of the masked upstream `g`, summed over rows in that array's C order.  The
+    k*N - M coefficients past the truncated stack feed no output: their
+    gradient is an exact 0.0, whatever the input (0 * inf would be NaN)."""
     k, n = len(c) // x.shape[-1], x.shape[-1]
     g_ext = np.zeros((*g.shape[:-1], k * n))
     g_ext[..., :m] = g
     blocks = g_ext.reshape(*g.shape[:-1], k, n)
     grad_c = (blocks * x[..., None, :]).reshape(-1, k * n).sum(axis=0)
+    grad_c[m:] = 0.0
     return grad_c, (np.reshape(c, (k, n)) * blocks).sum(axis=-2)
 
 

@@ -273,13 +273,6 @@ def test_bench_rejects_low_reps(tmp_path):
     assert result.returncode == 2
 
 
-def test_bench_rejects_malformed_dims(tmp_path):
-    for bad in ("4", "4x", "ax8", "0x8"):
-        result = run_cli("bench", "--dims", bad, "--reps", "10",
-                         "--out", str(tmp_path / "b.csv"))
-        assert result.returncode == 2, bad
-
-
 # (command line before the list flag, the flag, its value, the exit code).  One parser
 # reads both flags: every entry a positive integer, spaces around it allowed.
 LIST_FLAGS = [

@@ -40,8 +40,7 @@ def _single_dense(w, b, activation="identity"):
     w = np.asarray(w, dtype=float)
     spec = LayerSpec(kind="dense", in_dim=w.shape[1], out_dim=w.shape[0],
                      activation=activation)
-    net_spec = NetworkSpec(layers=(spec,), seed=0)
-    return Network(net_spec, [DenseLayer(spec, w, np.asarray(b, dtype=float))])
+    return Network([DenseLayer(spec, w, np.asarray(b, dtype=float))])
 
 
 def test_spec_validation():
@@ -59,6 +58,21 @@ def test_spec_validation():
             LayerSpec(kind="dense", in_dim=2, out_dim=3, activation="softmax_output"),
             LayerSpec(kind="dense", in_dim=3, out_dim=2),
         ), seed=0)
+
+
+def test_network_reads_its_spec_from_its_layers():
+    net = build_network(NetworkSpec(layers=(LayerSpec("dense", 3, 5),
+                                            LayerSpec("crosswise_mixed", 5, 2)), seed=7))
+    rebuilt = Network(net.layers, seed=7)
+    assert rebuilt.spec == net.spec and (rebuilt.in_dim, rebuilt.out_dim) == (3, 2)
+    assert Network(net.layers[1:]).spec == NetworkSpec(layers=(net.spec.layers[1],), seed=0)
+    with pytest.raises(ShapeError, match="layer 0 out_dim 2 does not chain into layer 1 in_dim 3"):
+        Network([net.layers[1], net.layers[0]])
+    with pytest.raises(ParameterError, match="softmax_output"):
+        Network([_single_dense(np.eye(3), np.zeros(3), "softmax_output").layers[0],
+                 net.layers[0]])
+    with pytest.raises(ParameterError, match="at least one layer"):
+        Network([])
 
 
 def test_identity_dense_layer_is_identity():

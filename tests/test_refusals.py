@@ -1,13 +1,19 @@
 """Bad values are refused with ParameterError by the call that receives them,
 naming the value, instead of failing later as a raw error, a wrong result or a
 divergence.  Integers go through `errors.expect_int` (a bool or a fraction is
-not an integer) and real-valued knobs through `errors.expect_positive`.
+not an integer), real-valued knobs through `errors.expect_positive` or
+`errors.expect_finite` and names through `errors.expect_choice`.
 """
 
 import math
+import re
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from crosswise.datasets import Dataset, gen_blobs, gen_xor
 from crosswise.diagonal import CrosswiseWeights, block_count, init_crosswise
@@ -18,10 +24,15 @@ from crosswise.features import (
     kernel_exact,
     next_power_of_two,
     sample_block,
+    sample_feature_map,
 )
 from crosswise.network import (
+    LAYER_KINDS,
+    LOSS_KINDS,
+    NETWORK_ACTIVATIONS,
     CrosswiseLayer,
     LayerSpec,
+    Network,
     NetworkSpec,
     TrainConfig,
     build_network,
@@ -87,6 +98,198 @@ REFUSED = {
 def test_bad_value_refused_where_it_arrives(call, word):
     with pytest.raises(ParameterError, match=word):
         call()
+
+
+# Bad values, drawn by hypothesis.  Not numbers at all: bools, strings, None and
+# arrays of any rank (a NumPy bool is not an integer either).
+NOT_NUMBERS = st.one_of(st.booleans(), st.just(np.True_), st.text(max_size=3), st.none(),
+                        arrays(st.sampled_from((np.float64, np.int64)),
+                               array_shapes(min_dims=0, max_dims=2, max_side=2)))
+# Fractions, whole floats, NaN and +-inf, as Python and as NumPy floats.
+NOT_INTEGERS = st.one_of(st.floats(), st.floats().map(np.float64), NOT_NUMBERS)
+NOT_FINITE = st.one_of(st.sampled_from((math.nan, math.inf, -math.inf)), NOT_NUMBERS)
+NOT_POSITIVE = st.one_of(NOT_FINITE, st.floats(max_value=0.0, allow_nan=False),
+                         st.integers(max_value=0))
+NEGATIVE = st.one_of(NOT_FINITE, st.floats(max_value=-math.ulp(0.0), allow_nan=False),
+                     st.integers(max_value=-1))
+
+
+def below(low):
+    """Not an integer, or an integer < low."""
+    return st.one_of(NOT_INTEGERS, st.integers(max_value=low - 1))
+
+
+def not_one_of(choices):
+    return st.one_of(NOT_INTEGERS, st.integers()).filter(lambda v: not isinstance(v, str) or
+                                                         v not in choices)
+
+
+def not_a_list_of(*wrong_items):
+    """Not a list or tuple (a string is neither), or a list holding something else."""
+    items = st.one_of(st.integers(), st.floats(), st.none(), st.sampled_from(wrong_items))
+    return st.one_of(NOT_INTEGERS, st.lists(items, min_size=1, max_size=3),
+                     st.lists(items, min_size=1, max_size=3).map(tuple))
+
+
+def rank_other_than(rank):
+    return arrays(np.float64, array_shapes(min_dims=0, max_dims=3, max_side=3)).filter(
+        lambda a: a.ndim != rank)
+
+
+BLOCK = sample_block(0, 4, 1.0)
+STEP_NET = build_network(NetworkSpec((LayerSpec("dense", 3, 2),), seed=0))
+STEP_GRADS = network_backward(STEP_NET, np.ones(3), np.zeros(2), "mse")
+CURSOR = CounterRng(5, stream=6)  # each draw from it below refuses its value
+
+# Argument: (the call with the bad value in its place, the name its refusal
+# starts with, the documented error, the bad values).
+ARGUMENTS = {
+    "LayerSpec kind": (lambda v: LayerSpec(v, 3, 3), "layer kind", ParameterError,
+                       not_one_of(LAYER_KINDS)),
+    "LayerSpec in_dim": (lambda v: LayerSpec("dense", v, 3), "layer in_dim", ParameterError,
+                         below(1)),
+    "LayerSpec out_dim": (lambda v: LayerSpec("dense", 3, v), "layer out_dim", ParameterError,
+                          below(1)),
+    "LayerSpec activation": (lambda v: LayerSpec("dense", 3, 3, v), "activation",
+                             ParameterError, not_one_of(NETWORK_ACTIVATIONS)),
+    "NetworkSpec layers": (lambda v: NetworkSpec(v, 0), "network layers", ParameterError,
+                           not_a_list_of(*STEP_NET.layers, BLOCK)),
+    "NetworkSpec seed": (lambda v: NetworkSpec(STEP_NET.spec.layers, v), "network seed",
+                         ParameterError, NOT_INTEGERS),
+    "Network layers": (lambda v: Network(v), "network layers", ParameterError,
+                       not_a_list_of(*STEP_NET.spec.layers, BLOCK)),
+    "Network seed": (lambda v: Network(STEP_NET.layers, v), "network seed", ParameterError,
+                     NOT_INTEGERS),
+    "TrainConfig learning_rate": (lambda v: TrainConfig(v, 1, 4, "mse", 0), "learning_rate",
+                                  ParameterError, NOT_POSITIVE),
+    "TrainConfig epochs": (lambda v: TrainConfig(0.1, v, 4, "mse", 0), "epochs",
+                           ParameterError, below(0)),
+    "TrainConfig batch_size": (lambda v: TrainConfig(0.1, 1, v, "mse", 0), "batch_size",
+                               ParameterError, below(1)),
+    "TrainConfig loss": (lambda v: TrainConfig(0.1, 1, 4, v, 0), "loss", ParameterError,
+                         not_one_of(LOSS_KINDS)),
+    "TrainConfig seed": (lambda v: TrainConfig(0.1, 1, 4, "mse", v), "seed", ParameterError,
+                         NOT_INTEGERS),
+    "CrosswiseWeights in_dim": (lambda v: CrosswiseWeights(v, 4, 1, np.zeros(4), np.zeros(4)),
+                                "N", ParameterError, below(1)),
+    "CrosswiseWeights out_dim": (lambda v: CrosswiseWeights(4, v, 1, np.zeros(4), np.zeros(4)),
+                                 "M", ParameterError, below(1)),
+    "CrosswiseWeights k": (lambda v: CrosswiseWeights(4, 4, v, np.zeros(4), np.zeros(4)), "k",
+                           ParameterError, st.one_of(NOT_INTEGERS, st.integers().filter(
+                               lambda k: k != 1))),
+    "CrosswiseWeights c": (lambda v: CrosswiseWeights(4, 4, 1, v, np.zeros(4)), "coefficients",
+                           ShapeError, rank_other_than(1)),
+    "CrosswiseWeights b": (lambda v: CrosswiseWeights(4, 4, 1, np.zeros(4), v), "bias",
+                           ShapeError, rank_other_than(1)),
+    "FeatureMap blocks": (lambda v: FeatureMap(v, 4), "feature map blocks", ParameterError,
+                          not_a_list_of(*STEP_NET.layers, *STEP_NET.spec.layers)),
+    "FeatureMap input_dim": (lambda v: FeatureMap((BLOCK,), v), "input dimension",
+                             ParameterError, below(1)),
+    "Dataset features": (lambda v: Dataset(v, np.zeros(2), 0), "features", ShapeError,
+                         rank_other_than(2)),
+    "Dataset labels": (lambda v: Dataset(np.zeros((2, 2)), v, 0), "labels", ShapeError,
+                       rank_other_than(1)),
+    "Dataset class_count": (lambda v: Dataset(np.zeros((2, 2)), np.array([0, 1]), v),
+                            "class_count", ParameterError, below(0)),
+    "block_count in_dim": (lambda v: block_count(v, 3), "N", ParameterError, below(1)),
+    "block_count out_dim": (lambda v: block_count(3, v), "M", ParameterError, below(1)),
+    "next_power_of_two d": (next_power_of_two, "dimension", ParameterError, below(1)),
+    "gen_blobs seed": (lambda v: gen_blobs(v, 2, 2, 2, 0.5), "seed", ParameterError,
+                       NOT_INTEGERS),
+    "gen_blobs samples_per_class": (lambda v: gen_blobs(0, v, 2, 2, 0.5), "samples_per_class",
+                                    ParameterError, below(1)),
+    "gen_blobs dims": (lambda v: gen_blobs(0, 2, v, 2, 0.5), "dims", ParameterError, below(1)),
+    "gen_blobs class_count": (lambda v: gen_blobs(0, 2, 2, v, 0.5), "class_count",
+                              ParameterError, below(1)),
+    "gen_blobs spread": (lambda v: gen_blobs(0, 2, 2, 2, v), "spread", ParameterError, NEGATIVE),
+    "gen_xor seed": (lambda v: gen_xor(v, 8, 0.1), "seed", ParameterError, NOT_INTEGERS),
+    "gen_xor samples": (lambda v: gen_xor(0, v, 0.1), "samples", ParameterError, below(4)),
+    "gen_xor noise": (lambda v: gen_xor(0, 8, v), "noise", ParameterError, NEGATIVE),
+    "verify_identities seed": (lambda v: verify_identities(v, 3, 1), "seed", ParameterError,
+                               NOT_INTEGERS),
+    "verify_identities max_dim": (lambda v: verify_identities(0, v, 1), "max_dim",
+                                  ParameterError, st.one_of(NOT_INTEGERS, st.integers().filter(
+                                      lambda d: not 2 <= d <= 8))),
+    "verify_identities draws": (lambda v: verify_identities(0, 3, v), "draws", ParameterError,
+                                below(1)),
+    "kernel_exact x": (lambda v: kernel_exact(v, np.ones(2), 1.0), "kernel inputs", ShapeError,
+                       rank_other_than(1)),
+    "kernel_exact sigma": (lambda v: kernel_exact(np.zeros(2), np.ones(2), v), "sigma",
+                           ParameterError, NOT_POSITIVE),
+    "sample_block seed": (lambda v: sample_block(v, 4, 1.0), "seed", ParameterError,
+                          NOT_INTEGERS),
+    "sample_block d": (lambda v: sample_block(0, v, 1.0), "dimension", ParameterError, below(1)),
+    "sample_block sigma": (lambda v: sample_block(0, 4, v), "sigma", ParameterError,
+                           NOT_POSITIVE),
+    "sample_feature_map seed": (lambda v: sample_feature_map(v, 4, 1.0, 2), "seed",
+                                ParameterError, NOT_INTEGERS),
+    "sample_feature_map d": (lambda v: sample_feature_map(0, v, 1.0, 2), "dimension",
+                             ParameterError, below(1)),
+    "sample_feature_map sigma": (lambda v: sample_feature_map(0, 4, v, 2), "sigma",
+                                 ParameterError, NOT_POSITIVE),
+    "sample_feature_map block_count": (lambda v: sample_feature_map(0, 4, 1.0, v), "block_count",
+                                       ParameterError, below(1)),
+    "init_crosswise seed": (lambda v: init_crosswise(v, 4, 4), "seed", ParameterError,
+                            NOT_INTEGERS),
+    "init_crosswise in_dim": (lambda v: init_crosswise(0, v, 4), "N", ParameterError, below(1)),
+    "init_crosswise out_dim": (lambda v: init_crosswise(0, 4, v), "M", ParameterError, below(1)),
+    "sgd_step learning_rate": (lambda v: sgd_step(STEP_NET, STEP_GRADS, v), "learning_rate",
+                               ParameterError, NEGATIVE),
+    "CounterRng seed": (CounterRng, "seed", ParameterError, NOT_INTEGERS),
+    "CounterRng stream": (lambda v: CounterRng(1, v), "stream", ParameterError, NOT_INTEGERS),
+    "CounterRng.words count": (CURSOR.words, "word count", ParameterError, below(0)),
+    "CounterRng.uniform count": (CURSOR.uniform, "word count", ParameterError, below(0)),
+    "CounterRng.uniform low": (lambda v: CURSOR.uniform(3, v, 1.0), "low", ParameterError,
+                               NOT_FINITE),
+    "CounterRng.uniform high": (lambda v: CURSOR.uniform(3, 0.0, v), "high", ParameterError,
+                                NOT_FINITE),
+    "CounterRng.normal count": (CURSOR.normal, "normal count", ParameterError, below(0)),
+    "CounterRng.normal_pairs count": (CURSOR.normal_pairs, "normal count", ParameterError,
+                                      below(0)),
+    "CounterRng.rademacher count": (CURSOR.rademacher, "word count", ParameterError, below(0)),
+    "CounterRng.integers count": (lambda v: CURSOR.integers(v, 0, 3), "word count",
+                                  ParameterError, below(0)),
+    "CounterRng.integers low": (lambda v: CURSOR.integers(3, v, 3), "low", ParameterError,
+                                NOT_INTEGERS),
+    "CounterRng.integers high": (lambda v: CURSOR.integers(3, 0, v), "high", ParameterError,
+                                 st.one_of(NOT_INTEGERS, st.integers(max_value=0))),
+    "CounterRng.permutation n": (CURSOR.permutation, "permutation length", ParameterError,
+                                 below(0)),
+    "derive_seed seed": (lambda v: derive_seed(v, 1), "seed", ParameterError, NOT_INTEGERS),
+    "derive_seed label": (lambda v: derive_seed(1, v), "label", ParameterError, NOT_INTEGERS),
+    "word_at seed": (lambda v: word_at(v, 0, 0), "seed", ParameterError, NOT_INTEGERS),
+    "word_at stream": (lambda v: word_at(0, v, 0), "stream", ParameterError, NOT_INTEGERS),
+    "word_at counter": (lambda v: word_at(0, 0, v), "counter", ParameterError, NOT_INTEGERS),
+}
+
+
+@contextmanager
+def _recorded_draws():
+    """The words that any `CounterRng` draws while the block runs."""
+    drawn, words = [], CounterRng.words
+
+    def recorded(rng, count, out=None):
+        drawn.append(words(rng, count, out))  # a refused count draws nothing
+        return drawn[-1]
+
+    CounterRng.words = recorded
+    try:
+        yield drawn
+    finally:
+        CounterRng.words = words
+
+
+@pytest.mark.parametrize("argument", ARGUMENTS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_every_argument_refuses_its_bad_values_before_any_draw(argument, data):
+    """The call that receives a bad value raises the documented error, whose
+    message starts with the argument's name, before any generator draws a word."""
+    call, name, error, bad = ARGUMENTS[argument]
+    value, position = data.draw(bad, label=argument), CURSOR._counter
+    with _recorded_draws() as drawn, pytest.raises(error, match=rf"^{re.escape(name)} must "):
+        call(value)
+    assert drawn == [] and CURSOR._counter == position
 
 
 def test_sgd_step_refuses_a_non_finite_rate_before_any_write():

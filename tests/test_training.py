@@ -21,6 +21,7 @@ from crosswise.datasets import Dataset, gen_blobs
 from crosswise.diagonal import init_crosswise
 from crosswise.network import (
     LAYER_KINDS,
+    CrosswiseLayer,
     CrosswiseMixedLayer,
     DenseLayer,
     LayerSpec,
@@ -84,8 +85,7 @@ def test_loss_and_head_gradient_match_scalar_oracles(case):
     # predicts the logits exactly, and its weight gradient is the transposed
     # head gradient, one row per sample.
     spec = LayerSpec(kind="dense", in_dim=batch, out_dim=classes, activation="identity")
-    net = Network(NetworkSpec(layers=(spec,), seed=0),
-                  [DenseLayer(spec, logits.T.copy(), np.zeros(classes))])
+    net = Network([DenseLayer(spec, logits.T.copy(), np.zeros(classes))])
     x = np.eye(batch)
     np.testing.assert_array_equal(network_forward(net, x), logits)
     head = network_backward(net, x, target, kind)[0]["w"].T
@@ -287,15 +287,29 @@ def test_a_mixed_head_is_stepped_on_the_stage_columns_it_reads():
     assert staged and rows.shape == (5, 64)
 
 
+def test_the_stepped_network_reports_the_shape_of_its_own_layers():
+    """The plain 64->256->4 net of the benchmark steps a 4->4->4 stack on the
+    first 4 columns of the rows; its spec, in_dim and out_dim say so."""
+    net = build_network(NetworkSpec(layers=(LayerSpec("crosswise", 64, 256),
+                                            LayerSpec("crosswise", 256, 4, "softmax_output")),
+                                    seed=1))
+    stepped, rows, staged = _stepped_network(net, np.ones((5, 64)))
+    assert stepped.spec.layers == tuple(layer.spec for layer in stepped.layers)
+    assert [(s.in_dim, s.out_dim) for s in stepped.spec.layers] == [(4, 4), (4, 4)]
+    assert stepped.in_dim == rows.shape[1] == 4 and stepped.out_dim == 4
+    assert stepped.spec.seed == net.spec.seed and not staged
+
+
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                             "ignore:invalid value:RuntimeWarning")
-def test_a_dead_stage_column_that_overflows_keeps_its_coefficient():
-    """The documented exception: the 8->2 mixed head reads stage columns 0 and 1.
-    The dense layer feeds it rows of two equal huge values, so the even rows of
-    the transform overflow to inf and the odd rows cancel; the permutation sends
-    odd rows to columns 0 and 1.  In one step, the reference loop's gradient
-    writes 0 * inf = NaN into the coefficients of the overflowing dead columns;
-    training leaves them unchanged.  Everything else is bit-identical."""
+def test_a_dead_stage_column_that_overflows_gets_an_exact_zero_gradient():
+    """The 8->2 mixed head reads stage columns 0 and 1.  The dense layer feeds
+    it rows of two equal huge values, so the even rows of the transform overflow
+    to inf and the odd rows cancel; the permutation sends odd rows to columns 0
+    and 1.  The coefficients of the overflowing columns lie past the head's
+    truncated stack, so the reference loop's gradient for them is an exact
+    zero, not 0 * inf = NaN, and the next step's input gradient stays finite:
+    two steps of training and of the reference loop agree byte for byte."""
     specs = (LayerSpec("dense", 1, 8, "identity"),
              LayerSpec("crosswise_mixed", 8, 2, "softmax_output"))
     rng = CounterRng(4, stream=3)
@@ -308,16 +322,50 @@ def test_a_dead_stage_column_that_overflows_keeps_its_coefficient():
         dense = DenseLayer(specs[0], w.copy(), np.zeros(8))
         head = CrosswiseMixedLayer(specs[1], init_crosswise(4, 8, 2), np.ones(8),
                                    np.array([1, 3, 0, 2, 4, 5, 6, 7]))
-        return Network(NetworkSpec(layers=specs, seed=4), [dense, head])
+        return Network([dense, head], seed=4)
+
+    cfg = TrainConfig(0.05, 2, 16, "cross_entropy", 4)  # two steps
+    net, reference, initial = built(), built(), built()
+    history = [(r.train_loss, r.train_accuracy) for r in train_network(net, cfg, data)]
+    assert history == _reference_train(reference, cfg, data)
+    dead = [2, 3, 4, 6]  # the stage columns that overflow
+    hidden = network_forward(Network(initial.layers[:1]), data.features)
+    assert np.isinf(initial.layers[1].stage(hidden)[:, dead]).all()
+    for layer, expected in zip(net.layers, reference.layers):
+        for name, p in layer.params().items():
+            assert not np.isnan(p).any()
+            assert p.tobytes() == expected.params()[name].tobytes()
+    assert net.layers[1].weights.c[dead].tobytes() == initial.layers[1].weights.c[dead].tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_a_dead_unit_whose_input_overflows_is_the_one_exception():
+    """Dense 1->8 into plain 8->8 into plain 8->2: units 2..7 of the 8->8 layer
+    are dead, and the dense layer's outputs 4..7 overflow to inf.  Those units'
+    coefficients lie inside the 8->8 stack, so the full network's gradient for
+    them is 0 * inf = NaN; training narrows that layer to 8->2 and leaves them
+    unchanged.  The live parameters and the history agree bit for bit."""
+    specs = (LayerSpec("dense", 1, 8, "identity"), LayerSpec("crosswise", 8, 8, "identity"),
+             LayerSpec("crosswise", 8, 2, "softmax_output"))
+    w = np.zeros((8, 1))
+    w[4:] = 1.7e308
+    data = Dataset(features=CounterRng(4, stream=3).uniform(16, 1.5, 2.0).reshape(16, 1),
+                   labels=np.arange(16) % 2, class_count=2)
+
+    def built():
+        return Network([DenseLayer(specs[0], w.copy(), np.zeros(8)),
+                        CrosswiseLayer(specs[1], init_crosswise(4, 8, 8)),
+                        CrosswiseLayer(specs[2], init_crosswise(5, 8, 2))])
 
     cfg = TrainConfig(0.05, 1, 16, "cross_entropy", 4)  # one step
-    net, reference, initial = built(), built(), built().layers[1].weights.c
+    net, reference, initial = built(), built(), built()
     history = [(r.train_loss, r.train_accuracy) for r in train_network(net, cfg, data)]
     assert history == _reference_train(reference, cfg, data)
     trained, expected = net.layers[1].weights.c, reference.layers[1].weights.c
-    dead = np.isnan(expected)
-    np.testing.assert_array_equal(dead, [False, False, True, True, True, False, True, False])
-    assert trained[dead].tobytes() == initial[dead].tobytes()
-    assert trained[~dead].tobytes() == expected[~dead].tobytes()
-    assert net.layers[1].weights.b.tobytes() == reference.layers[1].weights.b.tobytes()
-    assert net.layers[0].w.tobytes() == reference.layers[0].w.tobytes()
+    assert np.isnan(expected[4:]).all() and not np.isnan(expected[:4]).any()
+    assert trained[4:].tobytes() == initial.layers[1].weights.c[4:].tobytes()
+    assert trained[:4].tobytes() == expected[:4].tobytes()
+    for i in (0, 2):
+        for name, p in net.layers[i].params().items():
+            assert p.tobytes() == reference.layers[i].params()[name].tobytes()
