@@ -32,12 +32,11 @@ from .features import (
 )
 from .linalg import invert, pinv_full_rank
 from .network import (
+    Counts,
     EpochRecord,
     LayerSpec,
-    MultCounts,
     Network,
     NetworkSpec,
-    ParamCounts,
     TrainConfig,
     build_network,
     count_mults,

@@ -18,7 +18,8 @@ import numpy as np
 from .errors import ParameterError, ShapeError, expect_choice, expect_int
 from .rng import CounterRng
 
-ACTIVATIONS = ("relu", "identity")
+# softmax_output is an identity here: the cross-entropy loss applies the softmax.
+ACTIVATIONS = ("relu", "identity", "softmax_output")
 
 
 def block_count(in_dim: int, out_dim: int) -> int:

@@ -12,9 +12,11 @@ Layer kinds:
   the diagonal coefficients and biases are learned, so the parameter count
   matches the plain crosswise layer on the padded dimension.
 
-``softmax_output`` is an identity at forward time: the layer emits logits and
-the cross-entropy loss applies a stabilized softmax internally, which yields
-the usual fused gradient (softmax(logits) - target).
+Activations are `diagonal.ACTIVATIONS`.  ``softmax_output`` is an identity at
+forward time: the layer emits logits and the cross-entropy loss applies a
+stabilized softmax internally, which yields the usual fused gradient
+(softmax(logits) - target).  `count_weights` (also named `count_mults`) gives
+the paper's counts of each layer as one `Counts` record.
 
 Every layer op, `network_forward`, `network_backward` and `loss_eval` take
 one sample as a vector or a `(B, d)` batch with one sample per row; a vector
@@ -35,6 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagonal import (
+    ACTIVATIONS,
     CrosswiseWeights,
     block_count,
     crosswise_backward,
@@ -47,7 +50,6 @@ from .features import fwht, mix, mixing_factors, next_power_of_two
 from .rng import CounterRng, derive_seed
 
 LAYER_KINDS = ("dense", "crosswise", "crosswise_mixed")
-NETWORK_ACTIVATIONS = ("relu", "identity", "softmax_output")
 LOSS_KINDS = ("mse", "cross_entropy")
 
 
@@ -62,7 +64,7 @@ class LayerSpec:
         expect_choice(self.kind, LAYER_KINDS, "layer kind")
         expect_int(self.in_dim, "layer in_dim", ParameterError, 1)
         expect_int(self.out_dim, "layer out_dim", ParameterError, 1)
-        expect_choice(self.activation, NETWORK_ACTIVATIONS, "activation")
+        expect_choice(self.activation, ACTIVATIONS, "activation")
 
 
 @dataclass(frozen=True)
@@ -178,8 +180,6 @@ class CrosswiseLayer:
             )
         self.spec = spec
         self.weights = weights
-        # The softmax of softmax_output is applied inside the loss.
-        self._activation = "identity" if spec.activation == "softmax_output" else spec.activation
         if not plain:
             signs, perm = mixing_factors(signs, perm, self.pad)
             self._scale, self._in_signs = 1.0 / math.sqrt(self.pad), signs[: spec.in_dim]
@@ -206,11 +206,11 @@ class CrosswiseLayer:
     # layer class's own forward and backward), so that each layer call counts once.
     def forward(self, x: np.ndarray):
         u = x if self.perm is None else self.stage(x)
-        return crosswise_forward(self.weights, u, self._activation), u
+        return crosswise_forward(self.weights, u, self.spec.activation), u
 
     def backward(self, cache, g_out: np.ndarray, input_grad: bool = True, out=None):
         grad_c, grad_b, g_x = crosswise_backward(
-            self.weights, cache, g_out, self._activation, input_grad, out
+            self.weights, cache, g_out, self.spec.activation, input_grad, out
         )
         if input_grad and self.perm is not None:
             # Transpose of the mixing stage: unscale, unpermute (the unread slots
@@ -491,22 +491,19 @@ def train_network(net: Network, cfg: TrainConfig, data, threads: int = 1) -> lis
             batch = slice(start, start + cfg.batch_size)
             grads, batch_loss = _backward_with_loss(stepped, xs[batch], ts[batch],
                                                     labels[batch], cfg.loss)
-            if not math.isfinite(batch_loss):
-                raise DivergenceError(f"non-finite loss at epoch {epoch}")
             size = min(n - start, cfg.batch_size)
+            loss_sum += batch_loss * size
+            if not math.isfinite(loss_sum):  # before the step: a diverged batch writes nothing
+                raise DivergenceError(f"non-finite loss at epoch {epoch}")
             for layer_grads in grads:
                 for g in layer_grads.values():
                     g *= 1.0 / size
             sgd_step(stepped, grads, cfg.learning_rate)
-            loss_sum += batch_loss * size
         del xs, ts, labels  # one gathered copy at a time, none in the accuracy pass
-        epoch_loss = loss_sum / n
-        if not math.isfinite(epoch_loss):
-            raise DivergenceError(f"non-finite loss at epoch {epoch}")
         history.append(
             EpochRecord(
                 epoch=epoch,
-                train_loss=epoch_loss,
+                train_loss=loss_sum / n,
                 train_accuracy=_accuracy(stepped, rows, data),
                 wall_ms=(time.perf_counter() - started) * 1e3,
             )
@@ -521,58 +518,40 @@ def train(spec: NetworkSpec, cfg: TrainConfig, data) -> list:
 
 
 @dataclass
-class ParamCounts:
+class Counts:
+    """The paper's counts, one list entry per layer: learned multiplicative weights, biases,
+    multiplications per forward pass and FWHT add/subtract pairs, each in its own column."""
+
     weights: list
     biases: list
-
-    @property
-    def total_weights(self) -> int:
-        return sum(self.weights)
-
-    @property
-    def total_biases(self) -> int:
-        return sum(self.biases)
-
-
-@dataclass
-class MultCounts:
     mults: list
     fwht_ops: list
 
-    @property
-    def total_mults(self) -> int:
-        return sum(self.mults)
-
-    @property
-    def total_fwht_ops(self) -> int:
-        return sum(self.fwht_ops)
+    total_weights = property(lambda self: sum(self.weights))
+    total_biases = property(lambda self: sum(self.biases))
+    total_mults = property(lambda self: sum(self.mults))
+    total_fwht_ops = property(lambda self: sum(self.fwht_ops))
 
 
-def _layer_counts(lspec: LayerSpec) -> tuple[int, int, int]:
-    """(learned weights, multiplications per forward, FWHT butterfly ops) of one layer."""
+def _layer_counts(lspec: LayerSpec) -> tuple[int, int, int, int]:
+    """(learned weights, biases, multiplications per forward, FWHT butterfly ops) of a layer."""
     if lspec.kind == "dense":
-        return lspec.in_dim * lspec.out_dim, lspec.in_dim * lspec.out_dim, 0
+        return lspec.in_dim * lspec.out_dim, lspec.out_dim, lspec.in_dim * lspec.out_dim, 0
     pad = _padded_width(lspec)
     weights = block_count(pad, lspec.out_dim) * pad
     if lspec.kind == "crosswise":
-        return weights, weights, 0
+        return weights, lspec.out_dim, weights, 0
     # The fixed sign diagonal costs pad multiplications on top of the learned
     # diagonal products; butterfly ops are counted separately.
-    return weights, pad + weights, pad * int(math.log2(pad))
+    return weights, lspec.out_dim, pad + weights, pad * int(math.log2(pad))
 
 
-def count_weights(spec: NetworkSpec) -> ParamCounts:
-    """Learned multiplicative weights per layer; biases reported separately."""
-    return ParamCounts(
-        weights=[_layer_counts(l)[0] for l in spec.layers],
-        biases=[l.out_dim for l in spec.layers],
-    )
+def count_weights(spec: NetworkSpec) -> Counts:
+    """The counts of every layer of `spec`; `count_mults` is this function too."""
+    return Counts(*map(list, zip(*map(_layer_counts, spec.layers))))
 
 
-def count_mults(spec: NetworkSpec) -> MultCounts:
-    """Multiplications per forward pass; FWHT add/subtract pairs in their own column."""
-    counts = [_layer_counts(l) for l in spec.layers]
-    return MultCounts(mults=[c[1] for c in counts], fwht_ops=[c[2] for c in counts])
+count_mults = count_weights
 
 
 def model_to_json(net: Network) -> dict:

@@ -21,8 +21,8 @@ derived floating-point draws use the fixed conversions below:
   2*ceil(n/2) words are consumed: the first half give u1 = ((w >> 11)+1)*2^-53
   in (0, 1], the second half give u2 = (w >> 11)*2^-53 in [0, 1), and the
   output is [r*cos(2*pi*u2) for all pairs] followed by [r*sin(2*pi*u2)],
-  r = sqrt(-2 ln u1), truncated to n values.  One in-place routine makes every
-  normal, for normal() and for normal_pairs()' ranges alike.
+  r = sqrt(-2 ln u1), truncated to n values.  normal() is normal_pairs() read
+  whole, so one routine makes every normal.
 * sign flip (+1/-1):   +1.0 if bit 0 of the word is set, else -1.0
 * integer in [lo, hi): lo + word mod (hi - lo)   (modulo bias is negligible
   for the ranges used here, all far below 2^32)
@@ -54,7 +54,7 @@ _INV_2_53 = 2.0 ** -53
 
 def mix64(z: int) -> int:
     """SplitMix64 finalizer: a bijective avalanche mix of a 64-bit word."""
-    z &= _MASK64
+    z = expect_int(z, "word", ParameterError) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
@@ -131,9 +131,7 @@ class CounterRng:
         return low + (high - low) * u
 
     def normal(self, count: int) -> np.ndarray:
-        half = (expect_int(count, "normal count", ParameterError, 0) + 1) // 2
-        words = self.words(2 * half).view(np.float64).reshape(2, half)  # the Box-Muller buffer
-        return _box_muller(words).reshape(-1)[:count]
+        return self.normal_pairs(count)(0, (count + 1) // 2).reshape(-1)[:count]
 
     def normal_pairs(self, count: int) -> Callable[..., np.ndarray]:
         """Move past the words of normal(count); return draw(start, size, out=None) of its pairs.

@@ -109,6 +109,20 @@ def test_forward_shape_and_activation_errors():
         crosswise_forward(w, np.zeros(3), "tanh")
 
 
+def test_softmax_output_is_the_identity_in_the_layer():
+    """The loss applies the softmax, so the layer's bytes are the identity's."""
+    w = init_crosswise(5, 4, 10)
+    rng = CounterRng(5, stream=1)
+    x = rng.uniform(3 * 4, -1, 1).reshape(3, 4)
+    upstream = rng.uniform(3 * 10, -1, 1).reshape(3, 10)
+    out = crosswise_forward(w, x, "softmax_output")
+    assert out.tobytes() == crosswise_forward(w, x, "identity").tobytes()
+    for given in (None, out):
+        grads = crosswise_backward(w, x, upstream, "softmax_output", out=given)
+        twins = crosswise_backward(w, x, upstream, "identity", out=given)
+        assert [g.tobytes() for g in grads] == [g.tobytes() for g in twins]
+
+
 def test_expand_to_dense_examples():
     c = np.array([1.5, 2.5, 3.5, 4.5])
     w = CrosswiseWeights(in_dim=2, out_dim=4, k=2, c=c, b=np.zeros(4))

@@ -535,6 +535,22 @@ def test_train_divergence_names_epoch():
     assert "epoch 1" in str(err.value)
 
 
+def test_a_batch_whose_running_loss_overflows_is_not_stepped():
+    """Each one-row batch's own loss, near 1.7e308, is finite, but the epoch's running
+    total overflows at the second.  The divergence is raised before that batch's step,
+    so the network holds what the first batch's step left, as a one-row epoch leaves it."""
+    cfg = TrainConfig(learning_rate=0.01, epochs=1, batch_size=1, loss="mse", seed=0)
+    rows = [Dataset(features=np.ones((n, 1)), labels=np.zeros(n), class_count=0) for n in (1, 2)]
+    first = _single_dense([[1.3e154]], [0.0])
+    train_network(first, cfg, rows[0])
+    assert math.isfinite(loss_eval("mse", network_forward(first, np.ones(1)), np.zeros(1)))
+    net = _single_dense([[1.3e154]], [0.0])
+    with pytest.raises(DivergenceError, match="epoch 1"):
+        train_network(net, cfg, rows[1])
+    for old, new in zip(first.layers[0].params().values(), net.layers[0].params().values()):
+        assert old.tobytes() == new.tobytes()
+
+
 def test_train_validates_dimensions():
     data = gen_blobs(seed=2, samples_per_class=5, dims=3, class_count=2, spread=0.2)
     spec = NetworkSpec(layers=(
@@ -619,6 +635,19 @@ def test_count_mults_examples():
     assert mixed.mults == [24]
     assert mixed.fwht_ops == [24]
     assert count_mults(_spec_of("dense", 4, 8)).fwht_ops == [0]
+
+
+def test_count_weights_and_count_mults_are_one_record():
+    spec = NetworkSpec(layers=(
+        LayerSpec(kind="dense", in_dim=4, out_dim=8),
+        LayerSpec(kind="crosswise_mixed", in_dim=8, out_dim=3),
+    ), seed=0)
+    counts = count_weights(spec)
+    assert counts == count_mults(spec)
+    # pad = 8: 8 sign flips + 8 diagonal products; 8*log2(8) butterflies.
+    assert (counts.weights, counts.biases) == ([32, 8], [8, 3])
+    assert (counts.mults, counts.fwht_ops) == ([32, 16], [0, 24])
+    assert (counts.total_biases, counts.total_fwht_ops) == (11, 24)
 
 
 def test_mixed_layer_is_the_crosswise_layer_on_the_padded_width():

@@ -20,9 +20,9 @@ from crosswise import cli
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 PUBLIC_NAMES = [
-    "ConfigError", "CounterRng", "CrosswiseWeights", "Dataset", "DivergenceError",
+    "ConfigError", "CounterRng", "Counts", "CrosswiseWeights", "Dataset", "DivergenceError",
     "EpochRecord", "FeatureMap", "IdentityCheck", "IdentityReport", "LayerSpec",
-    "McKernelBlock", "MultCounts", "Network", "NetworkSpec", "ParamCounts",
+    "McKernelBlock", "Network", "NetworkSpec",
     "ParameterError", "SamplingError", "ShapeError", "SingularMatrixError", "TrainConfig",
     "apply_zhat", "block_count", "build_network", "cli", "count_mults", "count_weights",
     "crosswise_backward", "crosswise_forward", "datasets", "derive_seed", "diagonal",

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from crosswise.datasets import Dataset, gen_blobs, gen_xor
-from crosswise.diagonal import CrosswiseWeights, block_count, init_crosswise
+from crosswise.diagonal import ACTIVATIONS, CrosswiseWeights, block_count, init_crosswise
 from crosswise.errors import ParameterError, ShapeError, expect_int, expect_positive
 from crosswise.features import (
     FeatureMap,
@@ -29,7 +29,6 @@ from crosswise.features import (
 from crosswise.network import (
     LAYER_KINDS,
     LOSS_KINDS,
-    NETWORK_ACTIVATIONS,
     CrosswiseLayer,
     LayerSpec,
     Network,
@@ -40,7 +39,7 @@ from crosswise.network import (
     sgd_step,
 )
 from crosswise.products import verify_identities
-from crosswise.rng import CounterRng, derive_seed, word_at
+from crosswise.rng import CounterRng, derive_seed, mix64, word_at
 
 # (call, a word its message must hold).
 REFUSED = {
@@ -151,7 +150,7 @@ ARGUMENTS = {
     "LayerSpec out_dim": (lambda v: LayerSpec("dense", 3, v), "layer out_dim", ParameterError,
                           below(1)),
     "LayerSpec activation": (lambda v: LayerSpec("dense", 3, 3, v), "activation",
-                             ParameterError, not_one_of(NETWORK_ACTIVATIONS)),
+                             ParameterError, not_one_of(ACTIVATIONS)),
     "NetworkSpec layers": (lambda v: NetworkSpec(v, 0), "network layers", ParameterError,
                            not_a_list_of(*STEP_NET.layers, BLOCK)),
     "NetworkSpec seed": (lambda v: NetworkSpec(STEP_NET.spec.layers, v), "network seed",
@@ -260,6 +259,7 @@ ARGUMENTS = {
     "word_at seed": (lambda v: word_at(v, 0, 0), "seed", ParameterError, NOT_INTEGERS),
     "word_at stream": (lambda v: word_at(0, v, 0), "stream", ParameterError, NOT_INTEGERS),
     "word_at counter": (lambda v: word_at(0, 0, v), "counter", ParameterError, NOT_INTEGERS),
+    "mix64 z": (mix64, "word", ParameterError, NOT_INTEGERS),
 }
 
 
