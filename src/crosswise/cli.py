@@ -8,6 +8,7 @@ except wall-clock timing columns.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import statistics
@@ -90,12 +91,21 @@ def _fields(doc, table: dict, context: str, also=frozenset()) -> list:
 
 
 def _build(make, doc, table: dict, context: str, also=frozenset()):
-    """`make(*fields)`; its ParameterError or ShapeError becomes a ConfigError."""
-    fields = _fields(doc, table, context, also)
+    """`make(*fields)`, its refusals naming the config keys (see `_named_call`)."""
+    return _named_call(make, _fields(doc, table, context, also),
+                       [f"{context}.{key}" for key in table], f"{context}: ")
+
+
+def _named_call(make, values: list, names: list, prefix: str = ""):
+    """`make(*values)`; its ParameterError or ShapeError becomes a ConfigError.  A refusal
+    that starts with the name of `make`'s parameter i (`name must ...`) names `names[i]`,
+    what the user typed, in its place; any other gets `prefix`."""
     try:
-        return make(*fields)
+        return make(*values)
     except (ParameterError, ShapeError) as exc:
-        raise ConfigError(f"{context}: {exc}") from exc
+        param, must, rest = str(exc).partition(" must ")
+        typed = dict(zip(inspect.signature(make).parameters, names)).get(param) if must else None
+        raise ConfigError(f"{typed} must {rest}" if typed else f"{prefix}{exc}") from exc
 
 
 def load_config(path):
@@ -260,7 +270,8 @@ def cmd_algebra_check(args) -> int:
 
 def cmd_gen_data(args) -> int:
     builder, table = _DATA_KINDS[args.kind]  # each flag's dest is its key in the table
-    data = builder(*(getattr(args, key) for key in table))
+    data = _named_call(builder, [getattr(args, key) for key in table],
+                       [args.flags[key] for key in table])
     save_csv(data, args.out)
     print(f"wrote {data.sample_count} rows to {args.out}")
     return 0
@@ -308,18 +319,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p_algebra.add_argument("--out", default="algebra_check.csv", help="output CSV path")
 
     p_gen = sub.add_parser("gen-data", help="write a synthetic dataset CSV")
-    p_gen.set_defaults(run=cmd_gen_data)
     p_gen.add_argument("--kind", required=True, choices=("blobs", "xor"))
-    p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--out", required=True, help="output CSV path")
-    p_gen.add_argument("--per-class", type=int, default=100, dest="samples_per_class",
-                       help="blobs: samples per class")
-    p_gen.add_argument("--dims", type=int, default=4, help="blobs: feature dimension")
-    p_gen.add_argument("--classes", type=int, default=2, help="blobs: class count")
-    p_gen.add_argument("--spread", type=float, default=0.3,
-                       help="blobs: noise scale around each center")
-    p_gen.add_argument("--samples", type=int, default=200, help="xor: total samples")
-    p_gen.add_argument("--noise", type=float, default=0.0, help="xor: coordinate noise")
+    flags = (  # the builder parameters: a refusal names the flag
+        p_gen.add_argument("--seed", type=int, default=0),
+        p_gen.add_argument("--per-class", type=int, default=100, dest="samples_per_class",
+                           help="blobs: samples per class"),
+        p_gen.add_argument("--dims", type=int, default=4, help="blobs: feature dimension"),
+        p_gen.add_argument("--classes", type=int, default=2, help="blobs: class count"),
+        p_gen.add_argument("--spread", type=float, default=0.3,
+                           help="blobs: noise scale around each center"),
+        p_gen.add_argument("--samples", type=int, default=200, help="xor: total samples"),
+        p_gen.add_argument("--noise", type=float, default=0.0, help="xor: coordinate noise"),
+    )
+    p_gen.set_defaults(run=cmd_gen_data, flags={a.dest: a.option_strings[0] for a in flags})
 
     return parser
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, SamplingError, ShapeError, expect_int, expect_positive
+from .errors import ParameterError, SamplingError, expect_int, expect_positive, expect_shape
 from .rng import CounterRng
 
 
@@ -21,16 +21,9 @@ class Dataset:
     class_count: int  # 0 means real-valued regression targets
 
     def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
-        self.labels = np.asarray(self.labels)
-        if self.features.ndim != 2:
-            raise ShapeError(f"features must be 2-D, got ndim={self.features.ndim}")
-        if self.labels.ndim != 1:
-            raise ShapeError(f"labels must be 1-D, got ndim={self.labels.ndim}")
-        if self.labels.shape[0] != self.features.shape[0]:
-            raise ShapeError(
-                f"{self.labels.shape[0]} labels for {self.features.shape[0]} rows"
-            )
+        features = expect_shape(self.features, (None, None), "features")
+        self.features = np.asarray(features, dtype=np.float64)
+        self.labels = expect_shape(self.labels, (len(features),), "labels")
         bad = np.argwhere(~np.isfinite(self.features))
         if bad.size:
             row, col = bad[0]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, ShapeError, expect_choice, expect_int
+from .errors import ParameterError, expect_choice, expect_int, expect_shape
 from .rng import CounterRng
 
 # softmax_output is an identity here: the cross-entropy loss applies the softmax.
@@ -43,28 +43,17 @@ class CrosswiseWeights:
             raise ParameterError(
                 f"k must be ceil(M/N) = {block_count(self.in_dim, self.out_dim)}, got {self.k}"
             )
-        self.c = np.asarray(self.c, dtype=np.float64)
-        self.b = np.asarray(self.b, dtype=np.float64)
-        if self.c.shape != (self.k * self.in_dim,):
-            raise ShapeError(
-                f"coefficients must have length k*N = {self.k * self.in_dim}, "
-                f"got {self.c.shape}"
-            )
-        if self.b.shape != (self.out_dim,):
-            raise ShapeError(
-                f"bias must have length M = {self.out_dim}, got {self.b.shape}"
-            )
+        self.c = np.asarray(expect_shape(self.c, (self.k * self.in_dim,), "coefficients"),
+                            dtype=np.float64)
+        self.b = np.asarray(expect_shape(self.b, (self.out_dim,), "bias"), dtype=np.float64)
         self._blocks_of = None  # the `c` whose live `(k, min(N, M))` view is `_blocks`
 
     def __getstate__(self):  # a copy makes its view of its own `c`
         return {**self.__dict__, "_blocks_of": None, "_blocks": None}
 
 
-def _pre_activation(w: CrosswiseWeights, x: np.ndarray) -> np.ndarray:
-    if x.shape[-1:] != (w.in_dim,):
-        raise ShapeError(
-            f"crosswise input must have length {w.in_dim}, got shape {x.shape}"
-        )
+def _pre_activation(w: CrosswiseWeights, x) -> np.ndarray:
+    x = expect_shape(x, (..., w.in_dim), "crosswise input")
     if w._blocks_of is not w.c:  # only the first min(N, M) columns reach an output
         w._blocks_of, w._blocks = w.c, w.c.reshape(w.k, w.in_dim)[:, : min(w.in_dim, w.out_dim)]
     z = x[..., None, : w._blocks.shape[1]] * w._blocks
@@ -74,7 +63,7 @@ def _pre_activation(w: CrosswiseWeights, x: np.ndarray) -> np.ndarray:
 def crosswise_forward(w: CrosswiseWeights, x: np.ndarray, activation: str = "relu") -> np.ndarray:
     """Blockwise diagonal map, truncated to M outputs, plus bias and activation.
 
-    `x` is one input of length N or a `(B, N)` batch of them, one per row.
+    `x` is one input of length N or a `(B, N)` batch of rows, an array or a nested list.
     """
     expect_choice(activation, ACTIVATIONS, "activation")
     pre = _pre_activation(w, x)
@@ -97,6 +86,7 @@ def crosswise_backward(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Gradients (grad_c, grad_b, grad_x) of the forward map.
 
+    `x`, `upstream` and `out` may be arrays or nested lists.
     For a `(B, N)` batch `x` with `(B, M)` upstream gradients, grad_c and
     grad_b are summed over the rows and grad_x has one row per input row;
     with input_grad=False, grad_x is not computed and comes back as None.
@@ -105,13 +95,10 @@ def crosswise_backward(
     the ReLU mask is then read from it instead of recomputing the product.
     """
     expect_choice(activation, ACTIVATIONS, "activation")
-    if out is None:
-        out = _pre_activation(w, x)
-    elif x.shape[-1:] != (w.in_dim,) or out.shape[-1:] != (w.out_dim,):
-        raise ShapeError(f"crosswise input and output must have lengths {w.in_dim} and "
-                         f"{w.out_dim}, got shapes {x.shape} and {out.shape}")
-    if upstream.shape != out.shape:
-        raise ShapeError(f"upstream must have shape {out.shape}, got {upstream.shape}")
+    x = expect_shape(x, (..., w.in_dim), "crosswise input")
+    out = _pre_activation(w, x) if out is None else expect_shape(out, (..., w.out_dim),
+                                                                  "crosswise output")
+    upstream = expect_shape(upstream, out.shape, "upstream")
     if activation == "relu":
         # relu(pre) > 0 exactly where pre > 0, NaN included.
         g = np.where(out > 0.0, upstream, 0.0)

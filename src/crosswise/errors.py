@@ -66,6 +66,29 @@ def expect_positive(value, context: str, zero: bool = False) -> None:
         raise ParameterError(f"{context} must be {what}, got {value!r}")
 
 
+def expect_shape(value, shape: tuple, context: str) -> np.ndarray:
+    """`value` as an array, converted only if it is not one, if its shape matches `shape`:
+    an entry None matches any length and a leading `...` any number of leading axes.
+    Otherwise, a ragged nesting included, ShapeError naming `context` and the shape got."""
+    try:
+        value = value if type(value) is np.ndarray else np.asarray(value)
+    except ValueError:  # NumPy finds no shape for a ragged nesting
+        got = "a ragged nesting"
+    else:
+        have = value.shape
+        if have[1 - len(shape):] == shape[1:] if shape and shape[0] is ... else have == shape:
+            return value  # a match with no None in `shape`: one comparison
+        lead = shape[:1] == (...,)
+        tail = shape[lead:]
+        part = have[len(have) - len(tail):] if lead else have  # the axes `tail` matches
+        if len(part) == len(tail) and (tail.count(None) == len(tail) or all(
+                want is None or want == n for want, n in zip(tail, part))):
+            return value
+        got = f"shape {have}"
+    pattern = ", ".join("..." if n is ... else str(n) for n in shape) + "," * (len(shape) == 1)
+    raise ShapeError(f"{context} must have shape ({pattern}), got {got}")
+
+
 def expect_choice(value, choices: tuple, context: str) -> str:
     """`value` if it is one of the strings `choices`; else ParameterError, naming its repr."""
     if not isinstance(value, str) or value not in choices:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, ShapeError, expect_int, expect_positive
+from .errors import ParameterError, ShapeError, expect_int, expect_positive, expect_shape
 from .rng import CounterRng, derive_seed
 
 
@@ -60,9 +60,7 @@ def fwht(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     the two the levels alternate between, and the result is a view of `v` when log2 n is
     even, else of the new buffer.  Any other `out` raises ShapeError.
     """
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim == 0:
-        raise ShapeError("fwht needs an array with a last axis, got a scalar")
+    v = np.asarray(expect_shape(v, (..., None), "fwht input"), dtype=np.float64)
     n = v.shape[-1]
     if n < 1 or (n & (n - 1)) != 0:
         raise ShapeError(f"fwht length must be a power of two, got {n}")
@@ -85,9 +83,8 @@ def fwht(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 def mixing_factors(signs, perm, n: int) -> tuple[np.ndarray, np.ndarray]:
     """`signs` and `perm` as float64 and int64 arrays, if `signs` is n entries of +1 or -1
     (else ShapeError or ParameterError) and `perm` a permutation of 0..n-1 (else ParameterError)."""
-    signs, perm = np.asarray(signs, dtype=np.float64), np.asarray(perm, dtype=np.int64)
-    if signs.shape != (n,):
-        raise ShapeError(f"signs must have length {n}, got {signs.shape}")
+    signs = np.asarray(expect_shape(signs, (n,), "signs"), dtype=np.float64)
+    perm = np.asarray(perm, dtype=np.int64)
     if not np.all(np.abs(signs) == 1.0):
         raise ParameterError("signs entries must be +1 or -1")
     if not np.array_equal(np.sort(perm), np.arange(n)):
@@ -138,11 +135,8 @@ class McKernelBlock:
             raise ParameterError(f"n must be a power of two, got {self.n}")
         expect_positive(self.sigma, "sigma")
         self.b_signs, self.perm = mixing_factors(self.b_signs, self.perm, self.n)
-        self.g_diag = np.asarray(self.g_diag, dtype=np.float64)
-        self.c_diag = np.asarray(self.c_diag, dtype=np.float64)
-        for name, arr in (("g_diag", self.g_diag), ("c_diag", self.c_diag)):
-            if arr.shape != (self.n,):
-                raise ShapeError(f"{name} must have length n = {self.n}, got {arr.shape}")
+        self.g_diag = np.asarray(expect_shape(self.g_diag, (self.n,), "g_diag"), dtype=np.float64)
+        self.c_diag = np.asarray(expect_shape(self.c_diag, (self.n,), "c_diag"), dtype=np.float64)
 
 
 # Box-Muller pairs in flight in the chi(n) draw, split in whole rows across its workers.
@@ -275,11 +269,7 @@ def feature_map_apply(fm: FeatureMap, x: np.ndarray) -> np.ndarray:
     or `(B, 2*n*blocks)`: per block, the n cosines then the n sines.  All
     blocks go through one `apply_zhat` call on the map's stacked factors.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 0 or x.shape[-1] != fm.input_dim:
-        raise ShapeError(
-            f"feature map input must have last axis {fm.input_dim}, got shape {x.shape}"
-        )
+    x = np.asarray(expect_shape(x, (..., fm.input_dim), "feature map input"), dtype=np.float64)
     z = np.moveaxis(apply_zhat(fm, x), 0, -2)
     paired = np.empty(z.shape[:-1] + (2, fm.n))
     np.cos(z, out=paired[..., 0, :])
@@ -290,9 +280,8 @@ def feature_map_apply(fm: FeatureMap, x: np.ndarray) -> np.ndarray:
 
 def kernel_exact(x: np.ndarray, y: np.ndarray, sigma: float) -> float:
     """Gaussian RBF kernel exp(-||x - y||^2 / (2 sigma^2)) of two vectors of equal length."""
-    x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
-    if x.ndim != 1 or x.shape != y.shape:
-        raise ShapeError(f"kernel inputs must be 1-D of equal length, got {x.shape} and {y.shape}")
+    x = np.asarray(expect_shape(x, (None,), "kernel input x"), dtype=np.float64)
+    y = np.asarray(expect_shape(y, x.shape, "kernel input y"), dtype=np.float64)
     expect_positive(sigma, "sigma")
     diff = x - y
     return float(np.exp(-np.dot(diff, diff) / (2.0 * sigma * sigma)))

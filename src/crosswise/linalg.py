@@ -8,19 +8,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ShapeError, SingularMatrixError
+from .errors import ShapeError, SingularMatrixError, expect_shape
 
 PIVOT_TOLERANCE = 1e-12
 
 
 def invert(m: np.ndarray) -> np.ndarray:
-    """Inverse by Gauss-Jordan elimination with partial pivoting.
-
-    A pivot of magnitude below PIVOT_TOLERANCE is treated as singular.
-    """
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ShapeError(f"invert needs a square matrix, got shape {m.shape}")
-    n = m.shape[0]
+    """Inverse of a square matrix (an array or a nested list) by Gauss-Jordan elimination with
+    partial pivoting.  A pivot of magnitude below PIVOT_TOLERANCE is treated as singular."""
+    m = expect_shape(m, (None, None), "invert matrix")
+    n = len(expect_shape(m, (len(m), len(m)), "invert matrix"))
     aug = np.hstack([np.array(m, dtype=np.float64), np.eye(n)])
     for col in range(n):
         pivot = col + int(np.argmax(np.abs(aug[col:, col])))
@@ -39,10 +36,9 @@ def invert(m: np.ndarray) -> np.ndarray:
 
 
 def pinv_full_rank(m: np.ndarray) -> np.ndarray:
-    """Moore-Penrose pseudo-inverse (m^T m)^-1 m^T for full-column-rank m."""
-    if m.ndim != 2 or m.shape[0] < m.shape[1]:
-        raise ShapeError(
-            f"pinv_full_rank needs rows >= cols, got {m.shape[0]}x{m.shape[1]}"
-        )
+    """Moore-Penrose pseudo-inverse (m^T m)^-1 m^T of a full-column-rank m, array or list."""
+    m = expect_shape(m, (None, None), "pinv_full_rank matrix")
+    if m.shape[0] < m.shape[1]:
+        raise ShapeError(f"pinv_full_rank needs rows >= cols, got {m.shape[0]}x{m.shape[1]}")
     gram = m.T @ m
     return invert(gram) @ m.T

@@ -45,7 +45,7 @@ from .diagonal import (
     init_crosswise,
 )
 from .errors import (DivergenceError, ParameterError, ShapeError, expect_choice, expect_int,
-                     expect_keys, expect_positive)
+                     expect_keys, expect_positive, expect_shape)
 from .features import fwht, mix, mixing_factors, next_power_of_two
 from .rng import CounterRng, derive_seed
 
@@ -118,27 +118,21 @@ class EpochRecord:
 
 
 class DenseLayer:
+    """Full `(out, in)` weights `w` and bias `b`; they and `forward`'s input: arrays or lists."""
+
     kind = "dense"
 
     def __init__(self, spec: LayerSpec, w: np.ndarray, b: np.ndarray):
-        if w.shape != (spec.out_dim, spec.in_dim):
-            raise ShapeError(
-                f"dense weights must be {spec.out_dim}x{spec.in_dim}, got {w.shape}"
-            )
-        if b.shape != (spec.out_dim,):
-            raise ShapeError(f"dense bias must have length {spec.out_dim}, got {b.shape}")
         self.spec = spec
+        w = expect_shape(w, (spec.out_dim, spec.in_dim), "dense weights")
         self.w = np.asarray(w, dtype=np.float64)
-        self.b = np.asarray(b, dtype=np.float64)
+        self.b = np.asarray(expect_shape(b, (spec.out_dim,), "dense bias"), dtype=np.float64)
 
     def params(self) -> dict:
         return {"w": self.w, "b": self.b}
 
     def forward(self, x: np.ndarray):
-        if x.shape[-1:] != (self.spec.in_dim,):
-            raise ShapeError(
-                f"expected input of length {self.spec.in_dim}, got shape {x.shape}"
-            )
+        x = expect_shape(x, (..., self.spec.in_dim), "dense input")
         pre = x @ self.w.T + self.b
         out = np.maximum(pre, 0.0) if self.spec.activation == "relu" else pre
         return out, (x, pre)
@@ -191,13 +185,11 @@ class CrosswiseLayer:
         return {"c": self.weights.c, "b": self.weights.b}
 
     def stage(self, x: np.ndarray) -> np.ndarray:
-        """The stage columns that the diagonal reads (`perm[: weights.in_dim]`) of each
-        row of `x`.  A batch comes back as the transpose of a C-ordered `(columns, B)`
-        array (F order), and a following dense layer's product bits depend on that."""
-        if x.shape[-1:] != (self.spec.in_dim,):
-            raise ShapeError(
-                f"expected input of length {self.spec.in_dim}, got shape {x.shape}"
-            )
+        """The stage columns that the diagonal reads (`perm[: weights.in_dim]`) of each row
+        of `x`, an array or a nested list.  A batch comes back as the transpose of a C-ordered
+        `(columns, B)` array (F order), and a following dense layer's product bits depend on
+        that."""
+        x = expect_shape(x, (..., self.spec.in_dim), "stage input")
         u = mix(x, self.signs, self.perm[: self.weights.in_dim])  # C-ordered (columns, B)
         u *= self._scale
         return u.T if u.ndim < 3 else u.transpose(*range(1, u.ndim), 0)  # `.T`: cheaper
@@ -289,13 +281,11 @@ def network_forward(net: Network, x: np.ndarray) -> np.ndarray:
 
 
 def _forward_with_caches(net: Network, x: np.ndarray):
-    out = np.asarray(x, dtype=np.float64)
+    # The layers chain (NetworkSpec checks it), so only the input can have a wrong width.
+    out = np.asarray(expect_shape(x, (..., net.in_dim), "layer 0 input"), dtype=np.float64)
     caches = []
-    for i, layer in enumerate(net.layers):
-        try:
-            out, cache = layer.forward(out)
-        except ShapeError as exc:
-            raise ShapeError(f"layer {i}: {exc}") from exc
+    for layer in net.layers:
+        out, cache = layer.forward(out)
         caches.append((cache, out))
     return out, caches
 
@@ -317,9 +307,7 @@ def _checked_target(kind: str, target, shape: tuple):
     """`target` as float64 and, for cross_entropy, each row's hot index; refuses an
     unknown loss, a shape other than `shape` and cross_entropy rows not one-hot."""
     expect_choice(kind, LOSS_KINDS, "loss")
-    target = np.asarray(target, dtype=np.float64)
-    if target.shape != shape:
-        raise ShapeError(f"prediction length {shape} != target length {target.shape}")
+    target = np.asarray(expect_shape(target, shape, "target"), dtype=np.float64, order="C")
     if kind == "mse":
         return target, None
     if not (((target == 0.0) | (target == 1.0)).all() and (target.sum(axis=-1) == 1.0).all()):
@@ -343,7 +331,7 @@ def _loss_and_gradient(kind: str, prediction: np.ndarray, target: np.ndarray, la
 
 def loss_eval(kind: str, prediction: np.ndarray, target: np.ndarray) -> float:
     """Loss of one prediction vector, or the mean loss over the rows of a batch."""
-    prediction = np.asarray(prediction, dtype=np.float64)
+    prediction = np.asarray(expect_shape(prediction, (..., None), "prediction"), dtype=np.float64)
     target, labels = _checked_target(kind, target, prediction.shape)
     return _loss_and_gradient(kind, prediction, target, labels)[0]
 
@@ -353,7 +341,7 @@ def network_backward(net: Network, x: np.ndarray, target: np.ndarray, loss_kind:
 
     For a `(B, d)` batch the gradients are those of the sum of the rows' losses.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(expect_shape(x, (..., net.in_dim), "layer 0 input"), dtype=np.float64)
     target, labels = _checked_target(loss_kind, target, (*x.shape[:-1], net.out_dim))
     return _backward_with_loss(net, x, target, labels, loss_kind)[0]
 
@@ -472,10 +460,7 @@ def train_network(net: Network, cfg: TrainConfig, data, threads: int = 1) -> lis
     n = data.features.shape[0]
     if cfg.batch_size > n:
         raise ParameterError(f"batch_size {cfg.batch_size} exceeds dataset size {n}")
-    if data.features.shape[1] != net.in_dim:
-        raise ShapeError(
-            f"dataset features have {data.features.shape[1]} columns, network expects {net.in_dim}"
-        )
+    expect_shape(data.features, (n, net.in_dim), "dataset features")
     targets = _targets_for(data, net.out_dim, cfg.loss)
     if cfg.epochs == 0:
         return []
@@ -611,10 +596,8 @@ def model_from_json(doc: dict, seed: int = 0) -> Network:
                           activation=entry.get("activation", "relu"))
         b = _model_array(entry, "b", context)
         if kind == "dense":
-            w = _model_array(entry, "w", context)
-            if w.size != lspec.out_dim * lspec.in_dim:
-                raise ShapeError(f"{context}.w must hold m*n = "
-                                 f"{lspec.out_dim * lspec.in_dim} values, got {w.size}")
+            w = expect_shape(_model_array(entry, "w", context),
+                             (lspec.out_dim * lspec.in_dim,), f"{context}.w")
             layer = DenseLayer(lspec, w.reshape(lspec.out_dim, lspec.in_dim), b)
         else:
             weights = CrosswiseWeights(

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, SamplingError, ShapeError, SingularMatrixError, expect_int
+from .errors import ParameterError, SamplingError, SingularMatrixError, expect_int, expect_shape
 from .linalg import pinv_full_rank
 from .rng import CounterRng
 
@@ -33,19 +33,16 @@ def kronecker(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def khatri_rao(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Columnwise Kronecker product of two matrices with equal column counts."""
-    if a.shape[1] != b.shape[1]:
-        raise ShapeError(
-            f"khatri_rao: column counts differ ({a.shape[1]} vs {b.shape[1]})"
-        )
+    """Columnwise Kronecker product of two matrices (arrays or lists) of equal column counts."""
+    a = expect_shape(a, (None, None), "khatri_rao a")
+    b = expect_shape(b, (None, a.shape[1]), "khatri_rao b")
     return (a[:, None, :] * b[None, :, :]).reshape(a.shape[0] * b.shape[0], a.shape[1])
 
 
 def hadamard(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Entrywise product of two same-shape matrices."""
-    if a.shape != b.shape:
-        raise ShapeError(f"hadamard: shapes differ ({a.shape} vs {b.shape})")
-    return a * b
+    """Entrywise product of two same-shape matrices (arrays or nested lists)."""
+    a = expect_shape(a, (None, None), "hadamard a")
+    return a * expect_shape(b, a.shape, "hadamard b")
 
 
 @dataclass(frozen=True)

@@ -408,6 +408,44 @@ def test_gen_data_bad_params(tmp_path):
     assert result.returncode == 2
 
 
+# (gen-data arguments, the refusal): it names the flag as typed, not the builder parameter.
+GEN_DATA_REFUSALS = [
+    (["--kind", "blobs", "--classes", "0"], "--classes must be an integer >= 1, got 0"),
+    (["--kind", "blobs", "--per-class", "0"], "--per-class must be an integer >= 1, got 0"),
+    (["--kind", "blobs", "--spread", "-1"], "--spread must be >= 0 and finite, got -1.0"),
+    (["--kind", "xor", "--samples", "2"], "--samples must be an integer >= 4, got 2"),
+]
+
+
+@pytest.mark.parametrize("argv, message", GEN_DATA_REFUSALS,
+                         ids=[argv[2] for argv, _ in GEN_DATA_REFUSALS])
+def test_gen_data_refusals_name_the_flag(tmp_path, capsys, argv, message):
+    out = tmp_path / "x.csv"
+    assert cli.main(["gen-data", *argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+# (config section, key, value, the refusal): it names the key as typed.
+CONFIG_REFUSALS = [
+    ("data", "classes", 0, "config.data.classes must be an integer >= 1, got 0"),
+    ("data", "samples_per_class", 0,
+     "config.data.samples_per_class must be an integer >= 1, got 0"),
+    ("train", "lr", -0.1, "config.train.lr must be positive and finite, got -0.1"),
+    ("train", "batch", 0, "config.train.batch must be an integer >= 1, got 0"),
+]
+
+
+@pytest.mark.parametrize("section, key, value, message", CONFIG_REFUSALS,
+                         ids=[f"{section}.{key}" for section, key, _, _ in CONFIG_REFUSALS])
+def test_train_config_refusals_name_the_key(tmp_path, capsys, section, key, value, message):
+    cfg = base_config(tmp_path)
+    cfg[section][key] = value
+    assert cli.main(["train", "--config", write_config(tmp_path, cfg)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "history.csv").exists()
+
+
 def test_no_subcommand_is_usage_error():
     assert run_cli().returncode == 2
 

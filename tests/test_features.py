@@ -380,7 +380,10 @@ def test_kernel_exact_takes_array_likes(x, y):
     ([0.0, 1.0], [0.0, 1.0, 2.0]),
 ])
 def test_kernel_exact_refuses_all_but_two_vectors_of_one_length(x, y):
-    with pytest.raises(ShapeError, match=re.escape(f"{np.shape(x)} and {np.shape(y)}")):
+    """The refusal names the first input that is not a vector of x's length, and its shape."""
+    name, bad = ("x", x) if np.ndim(x) != 1 else ("y", y)
+    with pytest.raises(ShapeError, match=rf"^kernel input {name} must have shape \(.*\), "
+                                         rf"got shape {re.escape(str(np.shape(bad)))}$"):
         kernel_exact(x, y, 1.0)
 
 

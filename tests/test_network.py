@@ -150,6 +150,21 @@ def test_loss_eval_examples():
             assert abs(loss_eval(kind, logits, one_hot) - np.mean(rows)) < 1e-12
 
 
+@pytest.mark.parametrize("loss, head", [("mse", "identity"), ("cross_entropy", "softmax_output")])
+def test_gradient_bits_do_not_depend_on_the_target_layout(loss, head):
+    """The loss gradient is taken against a C-ordered target: a Fortran-ordered one made
+    it Fortran-ordered too, and the diagonal layers' row sums then ran pairwise."""
+    net = build_network(NetworkSpec((LayerSpec("crosswise_mixed", 64, 256),
+                                     LayerSpec("crosswise_mixed", 256, 4, head)), seed=5))
+    x = CounterRng(6).normal(32 * 64).reshape(32, 64)
+    target = np.eye(4)[CounterRng(7).integers(32, 0, 4)]
+    expected = network_backward(net, x, target, loss)
+    for laid_out in (np.asfortranarray(target), target.T.copy().T, target.tolist()):
+        grads = network_backward(net, x, laid_out, loss)
+        for got, want in zip(grads, expected):
+            assert all(got[name].tobytes() == want[name].tobytes() for name in want)
+
+
 def test_loss_eval_errors():
     with pytest.raises(ShapeError):
         loss_eval("mse", np.zeros(3), np.zeros(4))

@@ -1,8 +1,9 @@
-"""Bad values are refused with ParameterError by the call that receives them,
-naming the value, instead of failing later as a raw error, a wrong result or a
+"""Bad values are refused with ParameterError or ShapeError by the call that receives
+them, naming the value, instead of failing later as a raw error, a wrong result or a
 divergence.  Integers go through `errors.expect_int` (a bool or a fraction is
 not an integer), real-valued knobs through `errors.expect_positive` or
-`errors.expect_finite` and names through `errors.expect_choice`.
+`errors.expect_finite`, names through `errors.expect_choice` and array shapes
+through `errors.expect_shape`.
 """
 
 import math
@@ -16,29 +17,44 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from crosswise.datasets import Dataset, gen_blobs, gen_xor
-from crosswise.diagonal import ACTIVATIONS, CrosswiseWeights, block_count, init_crosswise
-from crosswise.errors import ParameterError, ShapeError, expect_int, expect_positive
+from crosswise.diagonal import (
+    ACTIVATIONS,
+    CrosswiseWeights,
+    block_count,
+    crosswise_backward,
+    crosswise_forward,
+    init_crosswise,
+)
+from crosswise.errors import ParameterError, ShapeError, expect_int, expect_positive, expect_shape
 from crosswise.features import (
     FeatureMap,
     McKernelBlock,
+    feature_map_apply,
+    fwht,
     kernel_exact,
+    mixing_factors,
     next_power_of_two,
     sample_block,
     sample_feature_map,
 )
+from crosswise.linalg import invert, pinv_full_rank
 from crosswise.network import (
     LAYER_KINDS,
     LOSS_KINDS,
     CrosswiseLayer,
+    DenseLayer,
     LayerSpec,
     Network,
     NetworkSpec,
     TrainConfig,
     build_network,
+    loss_eval,
     network_backward,
+    network_forward,
     sgd_step,
+    train_network,
 )
-from crosswise.products import verify_identities
+from crosswise.products import hadamard, khatri_rao, verify_identities
 from crosswise.rng import CounterRng, derive_seed, mix64, word_at
 
 # (call, a word its message must hold).
@@ -130,15 +146,42 @@ def not_a_list_of(*wrong_items):
                      st.lists(items, min_size=1, max_size=3).map(tuple))
 
 
-def rank_other_than(rank):
-    return arrays(np.float64, array_shapes(min_dims=0, max_dims=3, max_side=3)).filter(
-        lambda a: a.ndim != rank)
+def matches(shape, pattern):
+    """The shape rules as a regular expression over the lengths, written apart from
+    `expect_shape`'s matcher: a leading ... is any number of axes, None any length."""
+    axes = "".join(r"(\d+,)*" if p is ... else r"\d+," if p is None else f"{p}," for p in pattern)
+    return re.fullmatch(axes, "".join(f"{n}," for n in shape)) is not None
+
+
+SHAPES = array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4)
+# Nestings that NumPy cannot give a shape: rows of unequal length.
+RAGGED = st.lists(st.lists(st.floats(-2, 2), max_size=3), min_size=2, max_size=3).filter(
+    lambda rows: len({len(row) for row in rows}) > 1)
+
+
+def shape_other_than(*patterns):
+    """Arrays, and the same values as nested lists (a 0-d one is a float), whose shape
+    matches none of `patterns`, and ragged nestings.  A list drops the axes after a
+    zero-length one, so each list's own shape is checked too."""
+    def wrong(value):
+        return not any(matches(np.shape(value), p) for p in patterns)
+
+    values = SHAPES.flatmap(lambda shape: arrays(np.float64, shape, elements=st.floats(-2, 2)))
+    return st.one_of(values.filter(wrong), values.map(np.ndarray.tolist).filter(wrong), RAGGED)
 
 
 BLOCK = sample_block(0, 4, 1.0)
+BLOCK_FIELDS = {name: getattr(BLOCK, name) for name in
+                ("n", "sigma", "b_signs", "perm", "g_diag", "c_diag", "seed")}
 STEP_NET = build_network(NetworkSpec((LayerSpec("dense", 3, 2),), seed=0))
 STEP_GRADS = network_backward(STEP_NET, np.ones(3), np.zeros(2), "mse")
+MIXED = build_network(NetworkSpec((LayerSpec("crosswise_mixed", 3, 5),), seed=2)).layers[0]
+WEIGHTS = init_crosswise(0, 4, 3)  # 4 inputs, 3 outputs
+FEATURE_MAP = FeatureMap((BLOCK,), 4)
 CURSOR = CounterRng(5, stream=6)  # each draw from it below refuses its value
+# 2-D features whose width is not STEP_NET's 3 inputs, in datasets that are otherwise fine.
+NARROW_OR_WIDE = st.tuples(st.integers(1, 3), st.integers(0, 5).filter(lambda w: w != 3)).map(
+    lambda shape: Dataset(np.zeros(shape), np.zeros(shape[0]), 0))
 
 # Argument: (the call with the bad value in its place, the name its refusal
 # starts with, the documented error, the bad values).
@@ -177,17 +220,58 @@ ARGUMENTS = {
                            ParameterError, st.one_of(NOT_INTEGERS, st.integers().filter(
                                lambda k: k != 1))),
     "CrosswiseWeights c": (lambda v: CrosswiseWeights(4, 4, 1, v, np.zeros(4)), "coefficients",
-                           ShapeError, rank_other_than(1)),
+                           ShapeError, shape_other_than((4,))),
     "CrosswiseWeights b": (lambda v: CrosswiseWeights(4, 4, 1, np.zeros(4), v), "bias",
-                           ShapeError, rank_other_than(1)),
+                           ShapeError, shape_other_than((4,))),
+    "crosswise_forward x": (lambda v: crosswise_forward(WEIGHTS, v), "crosswise input",
+                            ShapeError, shape_other_than((..., 4))),
+    "crosswise_backward x": (lambda v: crosswise_backward(WEIGHTS, v, np.zeros(3)),
+                             "crosswise input", ShapeError, shape_other_than((..., 4))),
+    "crosswise_backward upstream": (lambda v: crosswise_backward(WEIGHTS, np.zeros(4), v),
+                                    "upstream", ShapeError, shape_other_than((3,))),
+    "crosswise_backward out": (
+        lambda v: crosswise_backward(WEIGHTS, np.zeros(4), np.zeros(3), out=v),
+        "crosswise output", ShapeError, shape_other_than((..., 3))),
+    "DenseLayer w": (lambda v: DenseLayer(LayerSpec("dense", 3, 2), v, np.zeros(2)),
+                     "dense weights", ShapeError, shape_other_than((2, 3))),
+    "DenseLayer b": (lambda v: DenseLayer(LayerSpec("dense", 3, 2), np.zeros((2, 3)), v),
+                     "dense bias", ShapeError, shape_other_than((2,))),
+    "DenseLayer.forward x": (lambda v: STEP_NET.layers[0].forward(v), "dense input",
+                             ShapeError, shape_other_than((..., 3))),
+    "CrosswiseLayer.stage x": (MIXED.stage, "stage input", ShapeError,
+                               shape_other_than((..., 3))),
+    "network_forward x": (lambda v: network_forward(STEP_NET, v), "layer 0 input", ShapeError,
+                          shape_other_than((..., 3))),
+    "network_backward x": (lambda v: network_backward(STEP_NET, v, np.zeros(2), "mse"),
+                           "layer 0 input", ShapeError, shape_other_than((..., 3))),
+    "network_backward target": (lambda v: network_backward(STEP_NET, np.ones(3), v, "mse"),
+                                "target", ShapeError, shape_other_than((2,))),
+    "loss_eval prediction": (lambda v: loss_eval("mse", v, v), "prediction", ShapeError,
+                             shape_other_than((..., None))),
+    "loss_eval target": (lambda v: loss_eval("mse", np.zeros(2), v), "target", ShapeError,
+                         shape_other_than((2,))),
+    "train_network data": (lambda v: train_network(STEP_NET, TrainConfig(0.1, 1, 1, "mse", 0), v),
+                           "dataset features", ShapeError, NARROW_OR_WIDE),
+    "khatri_rao a": (lambda v: khatri_rao(v, np.zeros((2, 3))), "khatri_rao a", ShapeError,
+                     shape_other_than((None, None))),
+    "khatri_rao b": (lambda v: khatri_rao(np.zeros((2, 3)), v), "khatri_rao b", ShapeError,
+                     shape_other_than((None, 3))),
+    "hadamard a": (lambda v: hadamard(v, np.zeros((2, 3))), "hadamard a", ShapeError,
+                   shape_other_than((None, None))),
+    "hadamard b": (lambda v: hadamard(np.zeros((2, 3)), v), "hadamard b", ShapeError,
+                   shape_other_than((2, 3))),
+    "invert m": (invert, "invert matrix", ShapeError,
+                 shape_other_than(*((n, n) for n in range(5)))),
+    "pinv_full_rank m": (pinv_full_rank, "pinv_full_rank matrix", ShapeError,
+                         shape_other_than((None, None))),
     "FeatureMap blocks": (lambda v: FeatureMap(v, 4), "feature map blocks", ParameterError,
                           not_a_list_of(*STEP_NET.layers, *STEP_NET.spec.layers)),
     "FeatureMap input_dim": (lambda v: FeatureMap((BLOCK,), v), "input dimension",
                              ParameterError, below(1)),
     "Dataset features": (lambda v: Dataset(v, np.zeros(2), 0), "features", ShapeError,
-                         rank_other_than(2)),
+                         shape_other_than((None, None))),
     "Dataset labels": (lambda v: Dataset(np.zeros((2, 2)), v, 0), "labels", ShapeError,
-                       rank_other_than(1)),
+                       shape_other_than((2,))),
     "Dataset class_count": (lambda v: Dataset(np.zeros((2, 2)), np.array([0, 1]), v),
                             "class_count", ParameterError, below(0)),
     "block_count in_dim": (lambda v: block_count(v, 3), "N", ParameterError, below(1)),
@@ -211,8 +295,21 @@ ARGUMENTS = {
                                       lambda d: not 2 <= d <= 8))),
     "verify_identities draws": (lambda v: verify_identities(0, 3, v), "draws", ParameterError,
                                 below(1)),
-    "kernel_exact x": (lambda v: kernel_exact(v, np.ones(2), 1.0), "kernel inputs", ShapeError,
-                       rank_other_than(1)),
+    "kernel_exact x": (lambda v: kernel_exact(v, np.ones(2), 1.0), "kernel input x", ShapeError,
+                       shape_other_than((None,))),
+    "kernel_exact y": (lambda v: kernel_exact(np.ones(2), v, 1.0), "kernel input y", ShapeError,
+                       shape_other_than((2,))),
+    "fwht v": (fwht, "fwht input", ShapeError, shape_other_than((..., None))),
+    "mixing_factors signs": (lambda v: mixing_factors(v, np.arange(4), 4), "signs", ShapeError,
+                             shape_other_than((4,))),
+    "McKernelBlock b_signs": (lambda v: McKernelBlock(**{**BLOCK_FIELDS, "b_signs": v}), "signs",
+                              ShapeError, shape_other_than((4,))),
+    "McKernelBlock g_diag": (lambda v: McKernelBlock(**{**BLOCK_FIELDS, "g_diag": v}), "g_diag",
+                             ShapeError, shape_other_than((4,))),
+    "McKernelBlock c_diag": (lambda v: McKernelBlock(**{**BLOCK_FIELDS, "c_diag": v}), "c_diag",
+                             ShapeError, shape_other_than((4,))),
+    "feature_map_apply x": (lambda v: feature_map_apply(FEATURE_MAP, v), "feature map input",
+                            ShapeError, shape_other_than((..., 4))),
     "kernel_exact sigma": (lambda v: kernel_exact(np.zeros(2), np.ones(2), v), "sigma",
                            ParameterError, NOT_POSITIVE),
     "sample_block seed": (lambda v: sample_block(v, 4, 1.0), "seed", ParameterError,
@@ -379,12 +476,79 @@ def test_expect_positive_takes_finite_positive_numbers_and_zero_only_when_asked(
 
 
 def test_mckernel_block_refuses_bad_factors_with_the_factor_check():
-    block = sample_block(0, 4, 1.0)
-    fields = dict(n=block.n, sigma=block.sigma, b_signs=block.b_signs, perm=block.perm,
-                  g_diag=block.g_diag, c_diag=block.c_diag, seed=block.seed)
     with pytest.raises(ParameterError, match=r"perm must be a permutation of 0\.\.3"):
-        McKernelBlock(**{**fields, "perm": block.perm[:3]})
+        McKernelBlock(**{**BLOCK_FIELDS, "perm": BLOCK.perm[:3]})
     with pytest.raises(ParameterError, match=r"signs entries must be \+1 or -1"):
-        McKernelBlock(**{**fields, "b_signs": np.array([1.0, -1.0, 0.5, 1.0])})
-    with pytest.raises(ShapeError, match=r"signs must have length 4"):
-        McKernelBlock(**{**fields, "b_signs": np.ones(3)})
+        McKernelBlock(**{**BLOCK_FIELDS, "b_signs": np.array([1.0, -1.0, 0.5, 1.0])})
+    with pytest.raises(ShapeError, match=r"signs must have shape \(4,\), got shape \(3,\)"):
+        McKernelBlock(**{**BLOCK_FIELDS, "b_signs": np.ones(3)})
+
+
+PATTERNS = st.tuples(st.booleans(), st.lists(st.one_of(st.none(), st.integers(0, 3)), max_size=3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(shape=array_shapes(min_dims=0, max_dims=4, min_side=0, max_side=3),
+       lead_and_entries=PATTERNS, as_list=st.booleans())
+def test_expect_shape_follows_the_pattern_rules(shape, lead_and_entries, as_list):
+    """A leading ... matches any number of leading axes, None any length and an integer
+    that length only.  A match returns the array itself (a list converted), else ShapeError."""
+    lead, entries = lead_and_entries
+    pattern = (...,) * lead + tuple(entries)
+    array = np.zeros(shape)
+    value = array.tolist() if as_list else array
+    if matches(np.shape(value), pattern):
+        got = expect_shape(value, pattern, "v")
+        assert got.shape == np.shape(value) and (as_list or got is array)
+    else:
+        with pytest.raises(ShapeError, match=rf"^v must have shape \(.*\), got shape "
+                                             rf"{re.escape(str(np.shape(value)))}$"):
+            expect_shape(value, pattern, "v")
+
+
+@pytest.mark.parametrize("value, pattern, message", [
+    (np.zeros((2, 3)), (..., 4), "(..., 4), got shape (2, 3)"),
+    (np.zeros(3), (None, 3), "(None, 3), got shape (3,)"),
+    (1.5, (1,), "(1,), got shape ()"),
+    ([[0.0], [0.0, 1.0]], (None, None), "(None, None), got a ragged nesting"),
+    ([[0.0, [1.0]]], (..., None), "(..., None), got a ragged nesting"),
+])
+def test_expect_shape_names_the_pattern_and_what_it_got(value, pattern, message):
+    with pytest.raises(ShapeError) as refused:
+        expect_shape(value, pattern, "the input")
+    assert str(refused.value) == f"the input must have shape {message}"
+
+
+def _bytes(result):
+    return [np.asarray(r).tobytes() for r in (result if isinstance(result, tuple) else (result,))]
+
+
+_NORMALS = CounterRng(12, stream=3)
+_A, _B, _X, _UP = (_NORMALS.normal(rows * cols).reshape(rows, cols)
+                   for rows, cols in ((4, 3), (2, 3), (5, 4), (5, 3)))
+_SQUARE = _NORMALS.normal(9).reshape(3, 3) + 3.0 * np.eye(3)
+
+
+def _dense_layer(w, b, x):
+    layer = DenseLayer(LayerSpec("dense", 4, 3), w, b)
+    return layer.w, layer.b, layer.forward(x)[0]
+
+
+# Function: (a call, the arrays it is given).  These raised AttributeError on nested lists.
+NESTED = {
+    "khatri_rao": (khatri_rao, (_A, _B)),
+    "hadamard": (hadamard, (_B, _B[::-1])),
+    "invert": (invert, (_SQUARE,)),
+    "pinv_full_rank": (pinv_full_rank, (_A,)),
+    "DenseLayer": (_dense_layer, (_X[:3], _A[0], _X)),
+    "CrosswiseLayer.stage": (MIXED.stage, (_X[:, :3],)),
+    "crosswise_forward": (lambda x: crosswise_forward(WEIGHTS, x), (_X,)),
+    "crosswise_backward": (lambda x, up, out: crosswise_backward(WEIGHTS, x, up, out=out),
+                           (_X, _UP, crosswise_forward(WEIGHTS, _X))),
+}
+
+
+@pytest.mark.parametrize("function", NESTED)
+def test_a_right_shaped_nested_list_gives_the_bytes_of_the_array(function):
+    call, given_arrays = NESTED[function]
+    assert _bytes(call(*(a.tolist() for a in given_arrays))) == _bytes(call(*given_arrays))
