@@ -163,7 +163,8 @@ def cmd_train(args) -> int:
     _check_writable(out_doc["history"], out_doc["model"])
     data = build_dataset(data_doc)
     net = build_network(net_spec)
-    history = train_network(net, train_cfg, data, threads=args.threads)
+    history = _named_call(train_network, [net, train_cfg, data, args.threads],
+                          ["config.network", "config.train", "config.data", "--threads"])
     write_csv(out_doc["history"], ("epoch", "loss", "accuracy", "wall_ms"),
               ((r.epoch, r.train_loss, r.train_accuracy, r.wall_ms) for r in history))
     with open(out_doc["model"], "w", encoding="utf-8", newline="\n") as fh:
@@ -228,11 +229,11 @@ def cmd_kernel_check(args) -> int:
     blocks = _positive_ints(args.blocks, ",", "--blocks expects comma-separated positive integers")
 
     rng = CounterRng(args.seed, stream=0)
-    raw = rng.normal(2 * args.pairs * args.d).reshape(2 * args.pairs, args.d)
-    norms = np.linalg.norm(raw, axis=1)
+    points = rng.normal(2 * args.pairs * args.d).reshape(2 * args.pairs, args.d)
+    norms = np.linalg.norm(points, axis=1)
     if np.any(norms < 1e-12):
         raise SamplingError("degenerate pair draw; use a different seed")
-    points = raw / norms[:, None]
+    points /= norms[:, None]
 
     rows = []
     summary = []

@@ -24,9 +24,10 @@ class Dataset:
         features = expect_shape(self.features, (None, None), "features")
         self.features = np.asarray(features, dtype=np.float64)
         self.labels = expect_shape(self.labels, (len(features),), "labels")
-        bad = np.argwhere(~np.isfinite(self.features))
-        if bad.size:
-            row, col = bad[0]
+        # min and max propagate NaN and reach any infinity: no full-size mask unless one is bad.
+        if not (np.isfinite(self.features.min(initial=0.0))
+                and np.isfinite(self.features.max(initial=0.0))):
+            row, col = np.argwhere(~np.isfinite(self.features))[0]
             raise ParameterError(
                 f"features must be finite, got {self.features[row, col]} at row {row}, column {col}"
             )
@@ -65,7 +66,8 @@ def gen_blobs(seed: int, samples_per_class: int, dims: int, class_count: int,
 
     Centers come from stream 1 (class_count*dims normals, rows normalized to
     radius 3); point noise comes from stream 0 as one batch of samples*dims
-    normals.  spread=0 collapses every class onto its center.
+    normals, scaled and shifted in place.  spread=0 collapses every class onto its
+    center.
     """
     for name, value in (("samples_per_class", samples_per_class), ("dims", dims),
                         ("class_count", class_count)):
@@ -77,10 +79,12 @@ def gen_blobs(seed: int, samples_per_class: int, dims: int, class_count: int,
         raise SamplingError("degenerate center draw; use a different seed")
     centers = 3.0 * raw / norms[:, None]
     total = samples_per_class * class_count
-    noise = CounterRng(seed, stream=0).normal(total * dims).reshape(total, dims)
-    features = np.repeat(centers, samples_per_class, axis=0) + spread * noise
+    features = CounterRng(seed, stream=0).normal(total * dims)
+    features *= spread
+    by_class = features.reshape(class_count, samples_per_class, dims)  # a view
+    by_class += centers[:, None]  # center + spread * noise, bit for bit
     labels = np.repeat(np.arange(class_count), samples_per_class)
-    return Dataset(features=features, labels=labels, class_count=class_count)
+    return Dataset(features=features.reshape(total, dims), labels=labels, class_count=class_count)
 
 
 def gen_xor(seed: int, samples: int, noise: float) -> Dataset:
@@ -90,7 +94,10 @@ def gen_xor(seed: int, samples: int, noise: float) -> Dataset:
     rng = CounterRng(seed, stream=0)
     points = rng.uniform(2 * samples, -1.0, 1.0).reshape(samples, 2)
     labels = (points[:, 0] * points[:, 1] > 0).astype(np.int64)
-    points = points + noise * rng.normal(2 * samples).reshape(samples, 2)
+    jitter = rng.normal(2 * samples).reshape(samples, 2)
+    jitter *= noise
+    points += jitter
+    del jitter  # freed before Dataset's checks
     return Dataset(features=points, labels=labels, class_count=2)
 
 
@@ -106,8 +113,8 @@ def write_csv(path, header, rows) -> None:
 def save_csv(data: Dataset, path) -> None:
     """Header f0..f{d-1},label; integer labels for classes, float labels otherwise."""
     write_csv(path, [f"f{j}" for j in range(data.dim)] + ["label"],
-              (row + [label] for row, label in zip(data.features.tolist(),
-                                                   data.labels.tolist())))
+              (row.tolist() + [label] for row, label in zip(data.features,
+                                                            data.labels.tolist())))
 
 
 def load_csv(path) -> Dataset:

@@ -125,5 +125,6 @@ def crosswise_backward(
 def init_crosswise(seed: int, in_dim: int, out_dim: int) -> CrosswiseWeights:
     """Seeded weights: uniform [-1, 1]/sqrt(N) coefficients, zero bias."""
     k = block_count(in_dim, out_dim)
-    c = CounterRng(seed, stream=0).uniform(k * in_dim, -1.0, 1.0) / math.sqrt(in_dim)
+    c = CounterRng(seed, stream=0).uniform(k * in_dim, -1.0, 1.0)
+    c /= math.sqrt(in_dim)
     return CrosswiseWeights(in_dim, out_dim, k, c, np.zeros(out_dim))

@@ -245,8 +245,8 @@ def build_network(spec: NetworkSpec) -> "Network":
         lseed = derive_seed(spec.seed, i)
         if lspec.kind == "dense":
             rng = CounterRng(lseed, stream=0)
-            w = rng.uniform(lspec.out_dim * lspec.in_dim, -1.0, 1.0)
-            w = w.reshape(lspec.out_dim, lspec.in_dim) / math.sqrt(lspec.in_dim)
+            w = rng.uniform(lspec.out_dim * lspec.in_dim, -1.0, 1.0).reshape(lspec.out_dim, -1)
+            w /= math.sqrt(lspec.in_dim)
             layers.append(DenseLayer(lspec, w, np.zeros(lspec.out_dim)))
             continue
         pad, stage = _padded_width(lspec), ()

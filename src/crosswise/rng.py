@@ -22,7 +22,7 @@ derived floating-point draws use the fixed conversions below:
   in (0, 1], the second half give u2 = (w >> 11)*2^-53 in [0, 1), and the
   output is [r*cos(2*pi*u2) for all pairs] followed by [r*sin(2*pi*u2)],
   r = sqrt(-2 ln u1), truncated to n values.  normal() is normal_pairs() read
-  whole, so one routine makes every normal.
+  in chunks, so one routine makes every normal.
 * sign flip (+1/-1):   +1.0 if bit 0 of the word is set, else -1.0
 * integer in [lo, hi): lo + word mod (hi - lo)   (modulo bias is negligible
   for the ranges used here, all far below 2^32)
@@ -50,6 +50,8 @@ _DERIVE_SALT = 0xA24BAED4963EE407
 
 _U64_GOLDEN = np.uint64(_GOLDEN)
 _INV_2_53 = 2.0 ** -53
+# Words of uniform() and pairs of normal() per chunk: each peaks at its output plus O(_CHUNK).
+_CHUNK = 2 ** 14
 
 
 def mix64(z: int) -> int:
@@ -126,12 +128,26 @@ class CounterRng:
         return _mix64_inplace(z, shifted)
 
     def uniform(self, count: int, low: float = 0.0, high: float = 1.0) -> np.ndarray:
+        """low + (high - low) * u of `count` uniforms u in [0, 1), scaled in place."""
         low, high = expect_finite(low, "low"), expect_finite(high, "high")
-        u = (self.words(count) >> np.uint64(11)).astype(np.float64) * _INV_2_53
-        return low + (high - low) * u
+        out = np.empty(expect_int(count, "word count", ParameterError, 0))
+        words = np.empty(min(out.size, _CHUNK), dtype=np.uint64)
+        for start in range(0, out.size, _CHUNK):
+            part = out[start : start + _CHUNK]
+            chunk = self.words(part.size, out=words[: part.size])
+            np.copyto(part, np.right_shift(chunk, np.uint64(11), out=chunk))  # exact: < 2^53
+            part *= _INV_2_53
+            part *= high - low
+            part += low
+        return out
 
     def normal(self, count: int) -> np.ndarray:
-        return self.normal_pairs(count)(0, (count + 1) // 2).reshape(-1)[:count]
+        count = expect_int(count, "normal count", ParameterError, 0)  # before any draw
+        draw, out = self.normal_pairs(count), np.empty((2, (count + 1) // 2))
+        for start in range(0, out.shape[1], _CHUNK):
+            part = out[:, start : start + _CHUNK]
+            draw(start, part.shape[1], out=part)
+        return out.reshape(-1)[:count]
 
     def normal_pairs(self, count: int) -> Callable[..., np.ndarray]:
         """Move past the words of normal(count); return draw(start, size, out=None) of its pairs.

@@ -254,6 +254,33 @@ def box_muller_normals(seed, stream, start, count):
     return np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:count]
 
 
+def uniform_draws(seed, stream, start, count, low, high):
+    """`count` uniforms in [low, high) from a cursor at word `start`, from the rng module
+    docstring and out of place: low + (high - low) * u, u = (w >> 11) * 2^-53."""
+    u = (counter_words(seed, stream, start, count) >> np.uint64(11)).astype(np.float64)
+    return low + (high - low) * (u * 2.0 ** -53)
+
+
+def blob_features(seed, samples_per_class, dims, class_count, spread):
+    """Gaussian blob features drawn the direct way: class_count*dims normals on stream 1,
+    rows scaled to radius 3, as the centers; each center repeated once per row of its
+    class, plus spread times samples*dims normals on stream 0."""
+    raw = box_muller_normals(seed, 1, 0, class_count * dims).reshape(class_count, dims)
+    centers = 3.0 * raw / np.linalg.norm(raw, axis=1)[:, None]
+    total = samples_per_class * class_count
+    noise = box_muller_normals(seed, 0, 0, total * dims).reshape(total, dims)
+    return np.repeat(centers, samples_per_class, axis=0) + spread * noise
+
+
+def xor_points(seed, samples, noise):
+    """(points, labels) of the noisy XOR task drawn the direct way on stream 0: 2*samples
+    uniforms in [-1, 1), label 1 iff x*y > 0, then noise times the next 2*samples normals."""
+    points = uniform_draws(seed, 0, 0, 2 * samples, -1.0, 1.0).reshape(samples, 2)
+    labels = (points[:, 0] * points[:, 1] > 0).astype(np.int64)
+    jitter = box_muller_normals(seed, 0, 2 * samples, 2 * samples).reshape(samples, 2)
+    return points + noise * jitter, labels
+
+
 def dense_sample_block(seed, d):
     """The factors (b_signs, perm, g_diag, c_diag) of a block, drawn the direct way.
 

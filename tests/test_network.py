@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -73,6 +74,18 @@ def test_network_reads_its_spec_from_its_layers():
                  net.layers[0]])
     with pytest.raises(ParameterError, match="at least one layer"):
         Network([])
+
+
+def test_dense_draw_peaks_at_its_weights():
+    """A 2048 x 2048 dense layer's weights (32 MB) are drawn and divided by sqrt(N) in
+    place: the build peaks under 33 MB, where a divided copy took 64 MB."""
+    tracemalloc.start()
+    try:
+        build_network(NetworkSpec((LayerSpec("dense", 2048, 2048),), seed=0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 33 * 2 ** 20
 
 
 def test_identity_dense_layer_is_identity():

@@ -1,15 +1,16 @@
 """The word stream is a portability contract: freeze it hard."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from crosswise.rng import CounterRng, derive_seed, mix64, word_at
+from crosswise.rng import _CHUNK, CounterRng, derive_seed, mix64, word_at
 
-from oracles import box_muller_normals, fisher_yates
+from oracles import box_muller_normals, counter_words, fisher_yates, uniform_draws
 
 # Frozen outputs of the documented (seed, stream, counter) -> word mapping.
 # If any of these move, every seeded artifact in the project silently changes.
@@ -228,6 +229,8 @@ def test_numpy_integer_counts_accepted():
         np.testing.assert_array_equal(CounterRng(3).permutation(count),
                                       CounterRng(3).permutation(5))
         np.testing.assert_array_equal(CounterRng(3).words(count), CounterRng(3).words(5))
+    # (count + 1) // 2 would wrap in uint8 arithmetic; the count is taken as a Python int.
+    np.testing.assert_array_equal(CounterRng(3).normal(np.uint8(255)), CounterRng(3).normal(255))
 
 
 def test_words_and_draw_fill_out():
@@ -238,3 +241,65 @@ def test_words_and_draw_fill_out():
     pairs = np.empty((2, 5))
     assert CounterRng(4).normal_pairs(10)(0, 5, out=pairs) is pairs
     np.testing.assert_array_equal(pairs.reshape(-1), CounterRng(4).normal(10))
+
+
+def _near_chunks(values_per_chunk):
+    """Draw counts where a chunked draw starts, ends or splits: 0, 1 and other small
+    counts, odd ones included, and one or two chunks' worth, give or take a few."""
+    return st.one_of(st.integers(0, 9), st.builds(lambda m, d: m * values_per_chunk + d,
+                                                   st.integers(1, 2), st.integers(-3, 2)))
+
+
+SEEDS = st.integers(0, 2 ** 64 - 1)
+BOUNDS = st.floats(-1e6, 1e6, allow_nan=False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=SEEDS, skip=st.integers(0, 9), count=_near_chunks(2 * _CHUNK))
+@example(seed=1, skip=0, count=0).via("no pairs")
+@example(seed=1, skip=3, count=1).via("one pair, its sin part dropped")
+@example(seed=1, skip=0, count=2 * _CHUNK - 2).via("a chunk less one pair")
+@example(seed=1, skip=0, count=4 * _CHUNK + 1).via("two chunks and one pair, odd")
+def test_normal_is_the_out_of_place_draw(seed, skip, count):
+    """normal(count), written chunk by chunk into its output, has the bytes of the whole
+    Box-Muller draw, and the cursor ends past its 2*ceil(count/2) words."""
+    rng = CounterRng(seed, stream=2)
+    rng.words(skip)
+    assert rng.normal(count).tobytes() == box_muller_normals(seed, 2, skip, count).tobytes()
+    after = skip + 2 * ((count + 1) // 2)
+    assert rng.words(2).tobytes() == counter_words(seed, 2, after, 2).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=SEEDS, skip=st.integers(0, 9), count=_near_chunks(_CHUNK),
+       low=BOUNDS, high=BOUNDS)
+@example(seed=1, skip=0, count=0, low=-1.0, high=1.0).via("no words")
+@example(seed=1, skip=5, count=_CHUNK - 1, low=-1.0, high=1.0).via("a chunk less one")
+@example(seed=1, skip=0, count=2 * _CHUNK + 1, low=2.5, high=-7.0).via("two chunks and one")
+def test_uniform_is_the_out_of_place_draw(seed, skip, count, low, high):
+    """uniform(count, low, high), scaled in place chunk by chunk, has the bytes of
+    low + (high - low) * u computed whole, and the cursor ends past its count words."""
+    rng = CounterRng(seed, stream=2)
+    rng.words(skip)
+    got = rng.uniform(count, low, high)
+    assert got.tobytes() == uniform_draws(seed, 2, skip, count, low, high).tobytes()
+    assert rng.words(2).tobytes() == counter_words(seed, 2, skip + count, 2).tobytes()
+
+
+def _peak_bytes(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("draw", [lambda: CounterRng(1).normal(2 ** 22),
+                                  lambda: CounterRng(1).uniform(2 ** 22, -1.0, 1.0)],
+                         ids=["normal", "uniform"])
+def test_large_draws_peak_at_their_output(draw):
+    """2^22 draws (a 32 MB output) peak within 1 MB of it: the words and Box-Muller
+    pairs are made one chunk at a time.  Drawn whole, they peaked at 48 MB (normal)
+    and 64 MB (uniform)."""
+    assert _peak_bytes(draw) <= 33 * 2 ** 20
