@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import rng
 from .errors import ParameterError, ShapeError, expect_int, expect_positive, expect_shape
-from .rng import CounterRng, derive_seed
 
 
 def next_power_of_two(d: int) -> int:
@@ -139,10 +139,6 @@ class McKernelBlock:
         self.c_diag = np.asarray(expect_shape(self.c_diag, (self.n,), "c_diag"), dtype=np.float64)
 
 
-# Box-Muller pairs in flight in the chi(n) draw, split in whole rows across its workers.
-_CHI_CHUNK_PAIRS = 2 ** 16
-
-
 def _sample_workers() -> int:
     """The CPUs this process may run on: the chi(n) draw's pool size, before capping."""
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -151,25 +147,22 @@ def _sample_workers() -> int:
 def sample_block(seed: int, d: int, sigma: float) -> McKernelBlock:
     """Draw one block for input dimension d (padded to the next power of two).
 
-    Draw order on (seed, stream 0): n sign flips, the permutation, n Gaussian
-    scalings, then n*n normals whose row norms, as an n x n matrix, give the
-    chi(n)-distributed scale factors; the scale factors are divided by the
-    norm of the Gaussian scaling vector.  The n*n normals are drawn in chunks of
-    whole rows on a thread pool: O(n + chunk) memory, and no bit depends on the pool.
+    Draw order on (seed, stream 0): n sign flips, the permutation, n Gaussian scalings, then
+    n*n normals whose row norms, as an n x n matrix, give the chi(n)-distributed scale factors;
+    the scale factors are divided by the norm of the Gaussian scaling vector.  The n*n normals
+    are drawn on a thread pool, each worker's chunk whole rows of rng._CHUNK pairs (or one
+    row) whatever the CPU count: O(n + workers * chunk) memory, and no bit depends on the pool.
     """
     n = next_power_of_two(d)
     expect_positive(sigma, "sigma")
-    rng = CounterRng(seed, stream=0)
-    b_signs = rng.rademacher(n)
-    perm = rng.permutation(n)
-    g_diag = rng.normal(n)
+    cursor = rng.CounterRng(seed, stream=0)
+    b_signs, perm, g_diag = cursor.rademacher(n), cursor.permutation(n), cursor.normal(n)
     # Row i < n/2 of the matrix (its sum of squares: sums[0, i]) is the cos branch of pairs
     # [i*n, (i+1)*n) and row n/2 + i (sums[1, i]) the sin branch of the same pairs.  At n = 1
     # the one row is the cos branch of the one pair; its sin branch lands in sums[1, 0], unused.
     pairs = (n * n + 1) // 2
-    draw, rows = rng.normal_pairs(n * n), max(1, _CHI_CHUNK_PAIRS // n)
-    workers = min(_sample_workers(), -(-pairs // (rows * n)))
-    size, sums = max(1, rows // workers) * n, np.empty((2, pairs // n))
+    draw, size = cursor.normal_pairs(n * n), min(max(1, rng._CHUNK // n) * n, pairs)
+    workers, sums = min(_sample_workers(), -(-pairs // size)), np.empty((2, pairs // n))
 
     def fill_sums(first):  # the chunks first, first + workers, ...
         buffer = np.empty((2, size))  # this worker's only buffer: every chunk is drawn into it
@@ -257,7 +250,7 @@ def sample_feature_map(seed: int, d: int, sigma: float, block_count: int) -> Fea
     """Draw `block_count` i.i.d. blocks; block i uses the child seed derive_seed(seed, i)."""
     expect_int(block_count, "block_count", ParameterError, 1)
     blocks = tuple(
-        sample_block(derive_seed(seed, i), d, sigma) for i in range(block_count)
+        sample_block(rng.derive_seed(seed, i), d, sigma) for i in range(block_count)
     )
     return FeatureMap(blocks=blocks, input_dim=d)
 

@@ -61,9 +61,9 @@ class LayerSpec:
     activation: str = "relu"
 
     def __post_init__(self):
-        expect_choice(self.kind, LAYER_KINDS, "layer kind")
-        expect_int(self.in_dim, "layer in_dim", ParameterError, 1)
-        expect_int(self.out_dim, "layer out_dim", ParameterError, 1)
+        expect_choice(self.kind, LAYER_KINDS, "kind")  # a parameter's name, for cli._named_call
+        expect_int(self.in_dim, "in_dim", ParameterError, 1)
+        expect_int(self.out_dim, "out_dim", ParameterError, 1)
         expect_choice(self.activation, ACTIVATIONS, "activation")
 
 

@@ -41,7 +41,7 @@ from collections.abc import Callable
 
 import numpy as np
 
-from .errors import ParameterError, expect_finite, expect_int
+from .errors import ParameterError, ShapeError, expect_finite, expect_int, expect_shape
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -50,8 +50,22 @@ _DERIVE_SALT = 0xA24BAED4963EE407
 
 _U64_GOLDEN = np.uint64(_GOLDEN)
 _INV_2_53 = 2.0 ** -53
-# Words of uniform() and pairs of normal() per chunk: each peaks at its output plus O(_CHUNK).
-_CHUNK = 2 ** 14
+# Entries per chunk of every draw, and pairs per chi(n) worker: output plus O(_CHUNK) memory.
+_CHUNK = 2 ** 15
+
+
+def _chunks(out: np.ndarray):
+    """(start, out[..., start : start + _CHUNK]) for each chunk of `out`'s last axis, in order."""
+    if out.shape[-1] <= _CHUNK:  # `out` itself, without a generator's cost: most draws are small
+        return ((0, out),)
+    return ((start, out[..., start : start + _CHUNK]) for start in range(0, out.shape[-1], _CHUNK))
+
+
+def _expect_out(out, shape: tuple, dtype: type, context: str) -> np.ndarray:
+    """`out` if it is a writable `dtype` ndarray of `shape`; else ShapeError."""
+    if not isinstance(out, np.ndarray) or out.dtype != dtype or not out.flags.writeable:
+        raise ShapeError(f"{context} must be a writable {np.dtype(dtype)} array, got {out!r:.60}")
+    return expect_shape(out, shape, context)
 
 
 def mix64(z: int) -> int:
@@ -80,34 +94,6 @@ def derive_seed(seed: int, label: int) -> int:
     return mix64(mix64(seed & _MASK64) ^ ((label * _DERIVE_SALT) & _MASK64) ^ _GOLDEN)
 
 
-def _mix64_inplace(z: np.ndarray, shifted: np.ndarray) -> np.ndarray:
-    """mix64 of every element of the uint64 array z, overwriting z; `shifted` is scratch."""
-    z ^= np.right_shift(z, np.uint64(30), out=shifted)
-    z *= np.uint64(0xBF58476D1CE4E5B9)
-    z ^= np.right_shift(z, np.uint64(27), out=shifted)
-    z *= np.uint64(0x94D049BB133111EB)
-    z ^= np.right_shift(z, np.uint64(31), out=shifted)
-    return z
-
-
-def _box_muller(out: np.ndarray) -> np.ndarray:
-    """Turn the rows of the float64 (2, m) `out`, holding the words w1 and w2 of m pairs as
-    uint64 bits, into r*cos(theta) and r*sin(theta), writing only into `out` and r.  theta
-    is (w2 >> 11) * (2*pi*2^-53), bit for bit 2*pi*u2: the product of the constants is exact.
-    """
-    w1, w2 = out.view(np.uint64)
-    r = np.right_shift(w1, np.uint64(11), out=w1).astype(np.float64)
-    np.multiply(np.add(r, 1.0, out=r), _INV_2_53, out=r)
-    np.sqrt(np.multiply(np.log(r, out=r), -2.0, out=r), out=r)
-    theta = out[0]
-    np.copyto(theta, np.right_shift(w2, np.uint64(11), out=w2))
-    theta *= 2.0 * math.pi * _INV_2_53
-    np.sin(theta, out=out[1])
-    np.cos(theta, out=theta)
-    out *= r
-    return out
-
-
 class CounterRng:
     """Sequential cursor over the (seed, stream) word stream."""
 
@@ -120,22 +106,27 @@ class CounterRng:
     def words(self, count: int, out: np.ndarray | None = None) -> np.ndarray:
         """Next `count` 64-bit words as a uint64 array: `out`, a uint64 (count,) array, if given."""
         count = expect_int(count, "word count", ParameterError, 0)
-        # The counter offsets 0..count-1, then mix64's scratch.
-        shifted = np.arange(count, dtype=np.uint64)
-        z = np.multiply(shifted, _U64_GOLDEN, out=out)
-        z += np.uint64((self._key + self._counter * _GOLDEN) & _MASK64)
-        self._counter += count
-        return _mix64_inplace(z, shifted)
+        out = np.empty(count, np.uint64) if out is None else _expect_out(
+            out, (count,), np.uint64, "words out")  # refused before the cursor moves
+        first, self._counter = self._key + self._counter * _GOLDEN, self._counter + count
+        for start, z in _chunks(out):
+            shifted = np.arange(z.size, dtype=np.uint64)  # chunk offsets, then mix64's scratch
+            np.multiply(shifted, _U64_GOLDEN, out=z)
+            z += np.uint64((first + start * _GOLDEN) & _MASK64)
+            z ^= np.right_shift(z, np.uint64(30), out=shifted)  # mix64, in place
+            z *= np.uint64(0xBF58476D1CE4E5B9)
+            z ^= np.right_shift(z, np.uint64(27), out=shifted)
+            z *= np.uint64(0x94D049BB133111EB)
+            z ^= np.right_shift(z, np.uint64(31), out=shifted)
+        return out
 
     def uniform(self, count: int, low: float = 0.0, high: float = 1.0) -> np.ndarray:
         """low + (high - low) * u of `count` uniforms u in [0, 1), scaled in place."""
         low, high = expect_finite(low, "low"), expect_finite(high, "high")
         out = np.empty(expect_int(count, "word count", ParameterError, 0))
-        words = np.empty(min(out.size, _CHUNK), dtype=np.uint64)
-        for start in range(0, out.size, _CHUNK):
-            part = out[start : start + _CHUNK]
-            chunk = self.words(part.size, out=words[: part.size])
-            np.copyto(part, np.right_shift(chunk, np.uint64(11), out=chunk))  # exact: < 2^53
+        for _, part in _chunks(out):
+            words = self.words(part.size)
+            np.copyto(part, np.right_shift(words, np.uint64(11), out=words))  # exact: < 2^53
             part *= _INV_2_53
             part *= high - low
             part += low
@@ -144,8 +135,7 @@ class CounterRng:
     def normal(self, count: int) -> np.ndarray:
         count = expect_int(count, "normal count", ParameterError, 0)  # before any draw
         draw, out = self.normal_pairs(count), np.empty((2, (count + 1) // 2))
-        for start in range(0, out.shape[1], _CHUNK):
-            part = out[:, start : start + _CHUNK]
+        for start, part in _chunks(out):
             draw(start, part.shape[1], out=part)
         return out.reshape(-1)[:count]
 
@@ -153,7 +143,7 @@ class CounterRng:
         """Move past the words of normal(count); return draw(start, size, out=None) of its pairs.
 
         draw gives the (2, size) cos parts and sin parts of Box-Muller pairs [start, start +
-        size), in `out` (float64, contiguous rows) if given: a pure function of this cursor's
+        size), in `out` (a writable float64 array) if given: a pure function of this cursor's
         position, count, start and size.  normal(count) is all cos parts, then all sin parts,
         truncated to count.
         """
@@ -163,26 +153,42 @@ class CounterRng:
         def draw(start: int, size: int, out: np.ndarray | None = None) -> np.ndarray:
             if not 0 <= start <= start + size <= half:
                 raise ValueError(f"pairs [{start}, {start + size}) outside [0, {half})")
-            out = np.empty((2, size)) if out is None else out
-            for row, first in zip(out.view(np.uint64), (base + start, base + half + start)):
-                cursor = CounterRng(self.seed, self.stream)
-                cursor._counter = first
+            out = np.empty((2, size)) if out is None else _expect_out(
+                out, (2, size), np.float64, "draw out")
+            cursor, (w1, w2) = CounterRng(self.seed, self.stream), out.view(np.uint64)
+            for row, cursor._counter in ((w1, base + start), (w2, base + half + start)):
                 cursor.words(size, out=row)
-            return _box_muller(out)
+            # Box-Muller, writing only into `out` and r.  theta is (w2 >> 11) * (2*pi*2^-53),
+            # bit for bit 2*pi*u2: the product of the constants is exact.
+            r = np.right_shift(w1, np.uint64(11), out=w1).astype(np.float64)
+            np.multiply(np.add(r, 1.0, out=r), _INV_2_53, out=r)
+            np.sqrt(np.multiply(np.log(r, out=r), -2.0, out=r), out=r)
+            theta = out[0]
+            np.copyto(theta, np.right_shift(w2, np.uint64(11), out=w2))
+            theta *= 2.0 * math.pi * _INV_2_53
+            np.sin(theta, out=out[1])
+            np.cos(theta, out=theta)
+            out *= r
+            return out
 
         return draw
 
     def rademacher(self, count: int) -> np.ndarray:
-        return np.where(self.words(count) & np.uint64(1), 1.0, -1.0)
+        out = np.empty(expect_int(count, "word count", ParameterError, 0))
+        for _, part in _chunks(out):  # 2b - 1 of each word's bit 0, b: exactly +1.0 or -1.0
+            np.multiply(np.bitwise_and(self.words(part.size), np.uint64(1)), 2.0, out=part)
+            part -= 1.0
+        return out
 
     def integers(self, count: int, low: int, high: int) -> np.ndarray:
         """Integers in [low, high), via modulo (bias negligible for high - low << 2^64)."""
         low = expect_int(low, "low", ParameterError)
-        high = expect_int(high, "high", ParameterError)
-        if high <= low:
-            raise ParameterError(f"high must be > low, got the empty range [{low}, {high})")
-        span = np.uint64(high - low)
-        return (self.words(count) % span).astype(np.int64) + low
+        span = np.uint64(expect_int(high, "high", ParameterError, low + 1) - low)  # low < high
+        out = np.empty(expect_int(count, "word count", ParameterError, 0), np.int64)
+        for _, part in _chunks(out):
+            np.copyto(part, np.remainder(words := self.words(part.size), span, out=words))
+            part += low
+        return out
 
     def permutation(self, n: int) -> np.ndarray:
         n = expect_int(n, "permutation length", ParameterError, 0)

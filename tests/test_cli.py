@@ -446,6 +446,25 @@ def test_train_config_refusals_name_the_key(tmp_path, capsys, section, key, valu
     assert not (tmp_path / "history.csv").exists()
 
 
+# (layer, key, value, the refusal): `LayerSpec`'s refusal names the layer's key as typed.
+LAYER_REFUSALS = [
+    (0, "kind", "conv", "config.network.layers[0].kind must be one of "
+                        "('dense', 'crosswise', 'crosswise_mixed'), got 'conv'"),
+    (0, "in", 0, "config.network.layers[0].in must be an integer >= 1, got 0"),
+    (1, "out", -2, "config.network.layers[1].out must be an integer >= 1, got -2"),
+]
+
+
+@pytest.mark.parametrize("layer, key, value, message", LAYER_REFUSALS,
+                         ids=[key for _, key, _, _ in LAYER_REFUSALS])
+def test_train_layer_refusals_name_the_key(tmp_path, capsys, layer, key, value, message):
+    cfg = base_config(tmp_path)
+    cfg["network"]["layers"][layer][key] = value
+    assert cli.main(["train", "--config", write_config(tmp_path, cfg)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "history.csv").exists()
+
+
 def test_no_subcommand_is_usage_error():
     assert run_cli().returncode == 2
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crosswise import features
+from crosswise import features, rng
 from crosswise.errors import ParameterError, ShapeError
 from crosswise.features import (
     FeatureMap,
@@ -98,10 +98,11 @@ def test_sample_block_matches_dense_oracle(n):
 
 
 def _assert_block_is_oracle(seed, d, workers, chunk_pairs):
-    """sample_block with `workers` CPUs and a `chunk_pairs` budget equals the oracle."""
+    """sample_block with `workers` CPUs and `rng._CHUNK` set to `chunk_pairs` equals the
+    oracle: each worker's chi(n) chunk, and every chunk of the words, is that small."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(features, "_sample_workers", lambda: workers)
-        mp.setattr(features, "_CHI_CHUNK_PAIRS", chunk_pairs)
+        mp.setattr(rng, "_CHUNK", chunk_pairs)
         block = sample_block(seed, d, 1.0)
     for got, want in zip((block.b_signs, block.perm, block.g_diag, block.c_diag),
                          dense_sample_block(seed, d)):
@@ -109,11 +110,13 @@ def _assert_block_is_oracle(seed, d, workers, chunk_pairs):
         np.testing.assert_array_equal(got, want)
 
 
-# (n, chunk budget): n = 1 and n = 2; a draw of exactly one chunk (n*n/2 pairs
-# = 2^15); a row larger than a worker's share (64 pairs against 100 / workers,
-# and against the whole budget); an uneven split of many chunks.
+# (n, rng._CHUNK): n = 1 and n = 2; a draw of exactly one chunk (n*n/2 pairs
+# = 2^15); a chunk of one row (64 pairs against 100); a row larger than the
+# chunk (128 pairs against 100: one row a chunk, its words in two chunks); 16
+# chunks of 2^15; two chunks of four rows; eleven chunks of three rows, the last
+# one row short, shared unevenly by two or three workers.
 POOL_CASES = [(1, 2 ** 15), (2, 2 ** 15), (256, 2 ** 15), (64, 100), (128, 100),
-              (1024, 2 ** 15), (16, 70)]
+              (1024, 2 ** 15), (16, 70), (64, 200)]
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -140,6 +143,25 @@ def test_sample_block_pool_under_fast_thread_switches():
             _assert_block_is_oracle(seed, 256, 4 * features._sample_workers(), 256)
     finally:
         sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 8])
+def test_sample_block_chunk_is_fixed_per_worker(monkeypatch, workers):
+    """Every chi(n) draw of an n=1024 block is rng._CHUNK pairs whatever the worker count:
+    the chunk is fixed per worker, not a budget split among them."""
+    sizes, normal_pairs = [], CounterRng.normal_pairs
+
+    def recorded(cursor, count):
+        draw = normal_pairs(cursor, count)
+        if count != 1024 * 1024:  # the n normals of g_diag
+            return draw
+        return lambda start, size, out=None: sizes.append(size) or draw(start, size, out)
+
+    monkeypatch.setattr(features, "_sample_workers", lambda: workers)
+    monkeypatch.setattr(CounterRng, "normal_pairs", recorded)
+    block = sample_block(3, 1024, 1.0)
+    assert set(sizes) == {rng._CHUNK} and sum(sizes) == 1024 * 1024 // 2
+    np.testing.assert_array_equal(block.c_diag, dense_sample_block(3, 1024)[3])
 
 
 def test_sample_block_one_chunk_starts_no_thread(monkeypatch):
@@ -200,7 +222,8 @@ SAMPLE_PEAK_BOUND = 1.1 * 2_536_888
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_sample_block_memory_at_n_1024(monkeypatch, workers):
     """The chi(n) draw writes into one (2, size) buffer per worker; a block's peak
-    stays within 10% of the out-of-place draw's (about 1.5 MB against 2.4 MB)."""
+    stays within 10% of the out-of-place draw's (0.8 to 2.3 MiB for one to three
+    workers, against 2.4 MB)."""
     monkeypatch.setattr(features, "_sample_workers", lambda: workers)
     sample_block(1, 1024, 1.0)  # the pool's first use imports concurrent.futures
     tracemalloc.start()

@@ -186,11 +186,11 @@ NARROW_OR_WIDE = st.tuples(st.integers(1, 3), st.integers(0, 5).filter(lambda w:
 # Argument: (the call with the bad value in its place, the name its refusal
 # starts with, the documented error, the bad values).
 ARGUMENTS = {
-    "LayerSpec kind": (lambda v: LayerSpec(v, 3, 3), "layer kind", ParameterError,
+    "LayerSpec kind": (lambda v: LayerSpec(v, 3, 3), "kind", ParameterError,
                        not_one_of(LAYER_KINDS)),
-    "LayerSpec in_dim": (lambda v: LayerSpec("dense", v, 3), "layer in_dim", ParameterError,
+    "LayerSpec in_dim": (lambda v: LayerSpec("dense", v, 3), "in_dim", ParameterError,
                          below(1)),
-    "LayerSpec out_dim": (lambda v: LayerSpec("dense", 3, v), "layer out_dim", ParameterError,
+    "LayerSpec out_dim": (lambda v: LayerSpec("dense", 3, v), "out_dim", ParameterError,
                           below(1)),
     "LayerSpec activation": (lambda v: LayerSpec("dense", 3, 3, v), "activation",
                              ParameterError, not_one_of(ACTIVATIONS)),
@@ -386,6 +386,40 @@ def test_every_argument_refuses_its_bad_values_before_any_draw(argument, data):
     value, position = data.draw(bad, label=argument), CURSOR._counter
     with _recorded_draws() as drawn, pytest.raises(error, match=rf"^{re.escape(name)} must "):
         call(value)
+    assert drawn == [] and CURSOR._counter == position
+
+
+# A refused `out`: (the call, the name its refusal starts with).
+BAD_OUTS = {
+    "words float64 out": (lambda: CURSOR.words(3, out=np.empty(3)), "words out"),
+    "words short out": (lambda: CURSOR.words(3, out=np.empty(2, np.uint64)), "words out"),
+    "words long out": (lambda: CURSOR.words(3, out=np.empty(4, np.uint64)), "words out"),
+    "words 2-D out": (lambda: CURSOR.words(3, out=np.empty((1, 3), np.uint64)), "words out"),
+    "words list out": (lambda: CURSOR.words(1, out=[0]), "words out"),
+    "words read-only out": (lambda: CURSOR.words(3, out=_read_only(3)), "words out"),
+    "draw float32 out": (lambda: CounterRng(2).normal_pairs(10)(
+        0, 3, out=np.empty((2, 3), np.float32)), "draw out"),
+    "draw short out": (lambda: CounterRng(2).normal_pairs(10)(0, 3, out=np.empty((2, 2))),
+                       "draw out"),
+    "draw uint64 out": (lambda: CounterRng(2).normal_pairs(10)(
+        0, 3, out=np.empty((2, 3), np.uint64)), "draw out"),
+}
+
+
+def _read_only(size):
+    out = np.empty(size, np.uint64)
+    out.flags.writeable = False
+    return out
+
+
+@pytest.mark.parametrize("case", BAD_OUTS)
+def test_a_refused_out_draws_no_word(case):
+    """A wrong `out` for words or a normal_pairs draw is a ShapeError, raised before any
+    word is drawn: the cursor has not moved."""
+    call, name = BAD_OUTS[case]
+    position = CURSOR._counter
+    with _recorded_draws() as drawn, pytest.raises(ShapeError, match=rf"^{re.escape(name)} must "):
+        call()
     assert drawn == [] and CURSOR._counter == position
 
 

@@ -286,6 +286,33 @@ def test_uniform_is_the_out_of_place_draw(seed, skip, count, low, high):
     assert rng.words(2).tobytes() == counter_words(seed, 2, skip + count, 2).tobytes()
 
 
+# Each word draw and its out-of-place form over the oracle's words w.
+WORD_DRAWS = {
+    "words": (lambda rng, count: rng.words(count), lambda w: w),
+    "rademacher": (lambda rng, count: rng.rademacher(count),
+                   lambda w: np.where(w & np.uint64(1), 1.0, -1.0)),
+    "integers": (lambda rng, count: rng.integers(count, -7, 2 ** 40),
+                 lambda w: (w % np.uint64(2 ** 40 + 7)).astype(np.int64) - 7),
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=SEEDS, skip=st.integers(0, 9), count=_near_chunks(_CHUNK),
+       draw=st.sampled_from(sorted(WORD_DRAWS)))
+@example(seed=1, skip=5, count=_CHUNK + 1, draw="words").via("a chunk and one")
+@example(seed=1, skip=0, count=2 * _CHUNK - 1, draw="rademacher").via("two chunks less one")
+@example(seed=1, skip=3, count=2 * _CHUNK + 2, draw="integers").via("two chunks and two")
+def test_word_draws_are_the_out_of_place_draw(seed, skip, count, draw):
+    """words, rademacher and integers, drawn chunk by chunk into their output, have the
+    bytes of the same draw made whole from the oracle's words, and the cursor ends past
+    their count words."""
+    chunked, whole = WORD_DRAWS[draw]
+    rng = CounterRng(seed, stream=3)
+    rng.words(skip)
+    assert chunked(rng, count).tobytes() == whole(counter_words(seed, 3, skip, count)).tobytes()
+    assert rng.words(2).tobytes() == counter_words(seed, 3, skip + count, 2).tobytes()
+
+
 def _peak_bytes(call) -> int:
     tracemalloc.start()
     try:
@@ -296,10 +323,13 @@ def _peak_bytes(call) -> int:
 
 
 @pytest.mark.parametrize("draw", [lambda: CounterRng(1).normal(2 ** 22),
-                                  lambda: CounterRng(1).uniform(2 ** 22, -1.0, 1.0)],
-                         ids=["normal", "uniform"])
+                                  lambda: CounterRng(1).uniform(2 ** 22, -1.0, 1.0),
+                                  lambda: CounterRng(1).words(2 ** 22),
+                                  lambda: CounterRng(1).rademacher(2 ** 22),
+                                  lambda: CounterRng(1).integers(2 ** 22, -5, 7)],
+                         ids=["normal", "uniform", "words", "rademacher", "integers"])
 def test_large_draws_peak_at_their_output(draw):
-    """2^22 draws (a 32 MB output) peak within 1 MB of it: the words and Box-Muller
-    pairs are made one chunk at a time.  Drawn whole, they peaked at 48 MB (normal)
-    and 64 MB (uniform)."""
+    """2^22 draws (a 32 MB output) peak within 1 MB of it: the words, their counter
+    ramp and the Box-Muller pairs are made one chunk at a time.  Drawn whole, they
+    peaked at 48 MB (normal) and 64 MB (the others)."""
     assert _peak_bytes(draw) <= 33 * 2 ** 20
