@@ -81,12 +81,18 @@ def fwht(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def mixing_factors(signs, perm, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """`signs` and `perm` as float64 and int64 arrays, if `signs` is n entries of +1 or -1
-    (else ShapeError or ParameterError) and `perm` a permutation of 0..n-1 (else ParameterError)."""
+    """`signs` and `perm` as float64 and int64 arrays, if `signs` is n entries of +1 or -1 and
+    `perm` a flat array or list of integers (not bools) that permutes 0..n-1; else ShapeError
+    (for a wrong shape) or ParameterError."""
     signs = np.asarray(expect_shape(signs, (n,), "signs"), dtype=np.float64)
-    perm = np.asarray(perm, dtype=np.int64)
+    given, perm = perm, expect_shape(perm, (None,), "perm")
     if not np.all(np.abs(signs) == 1.0):
         raise ParameterError("signs entries must be +1 or -1")
+    # A list that mixes bools with integers converts to integers, so its entries are read.
+    if perm.dtype.kind not in "iu" or perm is not given and any(
+            isinstance(v, (bool, np.bool_)) for v in given):
+        raise ParameterError("perm must hold int64 integers, not bools")
+    perm = np.asarray(perm, dtype=np.int64)
     if not np.array_equal(np.sort(perm), np.arange(n)):
         raise ParameterError(f"perm must be a permutation of 0..{n - 1}")
     return signs, perm
@@ -191,11 +197,10 @@ def apply_zhat(block: McKernelBlock, x: np.ndarray) -> np.ndarray:
     that adds a leading blocks axis to the output, `(blocks, ..., n)`.  The
     output is C-ordered.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 0 or x.shape[-1] > block.n:
-        raise ShapeError(
-            f"input must have a last axis of length <= {block.n}, got shape {x.shape}"
-        )
+    x = np.asarray(expect_shape(x, (..., None), "zhat input"), dtype=np.float64)
+    if x.shape[-1] > block.n:
+        raise ShapeError(f"zhat input must have a last axis of length <= {block.n}, "
+                         f"got shape {x.shape}")
     n = block.n
     # G is applied as mix's ([blocks,] n, *rows) result is turned into the
     # next FWHT's C-ordered ([blocks,] *rows, n) input.

@@ -455,8 +455,7 @@ def train_network(net: Network, cfg: TrainConfig, data, threads: int = 1) -> lis
     get zero gradients only.  The mini-batches and accuracy passes compute only
     the live units, on prefix views of the same parameters; the bits are unchanged.
     """
-    if threads < 1:
-        raise ParameterError(f"threads must be >= 1, got {threads}")
+    expect_int(threads, "threads", ParameterError, 1)
     n = data.features.shape[0]
     if cfg.batch_size > n:
         raise ParameterError(f"batch_size {cfg.batch_size} exceeds dataset size {n}")

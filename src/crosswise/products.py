@@ -1,9 +1,7 @@
 """Kronecker, Khatri-Rao, and Hadamard matrix products.
 
-`verify_identities` exercises five classical interplay identities between the
-three products and the Moore-Penrose pseudo-inverse on seeded random draws
-and reports the worst residual per identity.
-"""
+`verify_identities` checks five classical identities between the three products and the
+Moore-Penrose pseudo-inverse, the rows of `IDENTITIES`, on seeded random draws."""
 
 from __future__ import annotations
 
@@ -16,15 +14,6 @@ from .linalg import pinv_full_rank
 from .rng import CounterRng
 
 MAX_RESAMPLE_ATTEMPTS = 16
-
-# identity_id -> pass threshold on the max-abs residual
-IDENTITY_THRESHOLDS = {
-    "kron_mixed_product": 1e-8,   # (A kron B)(C kron D) == AC kron BD
-    "kron_pinv_factor": 1e-6,     # pinv(A kron B) == pinv(A) kron pinv(B)
-    "khatri_rao_assoc": 1e-12,    # (A kr B) kr C == A kr (B kr C)
-    "khatri_rao_gram": 1e-8,      # (A kr B)^T (A kr B) == (A^T A) * (B^T B)
-    "khatri_rao_pinv": 1e-6,      # pinv(A kr B) == pinv((A^T A)*(B^T B)) (A kr B)^T
-}
 
 
 def kronecker(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -77,89 +66,84 @@ def _plain(rng: CounterRng, rows: int, cols: int) -> np.ndarray:
     return rng.uniform(rows * cols, -1.0, 1.0).reshape(rows, cols)
 
 
-def _max_abs(residual: np.ndarray) -> float:
-    return float(np.max(np.abs(residual)))
+def _kron_mixed_product(rng: CounterRng, dim) -> np.ndarray:
+    # (A kron B)(C kron D) == AC kron BD
+    m, n, p, q, r, s = (dim() for _ in range(6))
+    a, b = _plain(rng, m, n), _plain(rng, p, q)
+    c, d = _plain(rng, n, r), _plain(rng, q, s)
+    return kronecker(a, b) @ kronecker(c, d) - kronecker(a @ c, b @ d)
 
 
-def _with_resampling(draw_and_check) -> float:
-    for _ in range(MAX_RESAMPLE_ATTEMPTS):
-        try:
-            return draw_and_check()
-        except SingularMatrixError:
-            continue
-    raise SamplingError(
-        f"no full-rank draw within {MAX_RESAMPLE_ATTEMPTS} attempts"
-    )
+def _kron_pinv_factor(rng: CounterRng, dim) -> np.ndarray:
+    # pinv(A kron B) == pinv(A) kron pinv(B), full-column-rank draws
+    am, bm = dim(), dim()
+    an, bn = dim(am), dim(bm)
+    a, b = _boosted(rng, am, an), _boosted(rng, bm, bn)
+    return pinv_full_rank(kronecker(a, b)) - kronecker(pinv_full_rank(a), pinv_full_rank(b))
+
+
+def _khatri_rao_assoc(rng: CounterRng, dim) -> np.ndarray:
+    # (A kr B) kr C == A kr (B kr C)
+    k = dim()
+    a, b, c = (_plain(rng, dim(), k) for _ in range(3))
+    return khatri_rao(khatri_rao(a, b), c) - khatri_rao(a, khatri_rao(b, c))
+
+
+def _khatri_rao_gram(rng: CounterRng, dim) -> np.ndarray:
+    # (A kr B)^T (A kr B) == (A^T A) * (B^T B)
+    k = dim()
+    a, b = _plain(rng, dim(), k), _plain(rng, dim(), k)
+    kr = khatri_rao(a, b)
+    return kr.T @ kr - hadamard(a.T @ a, b.T @ b)
+
+
+def _khatri_rao_pinv(rng: CounterRng, dim) -> np.ndarray:
+    # pinv(A kr B) == pinv((A^T A) * (B^T B)) (A kr B)^T, full-column-rank draws
+    am, bm = dim(), dim()
+    k = dim(min(am, bm))
+    a, b = _boosted(rng, am, k), _boosted(rng, bm, k)
+    kr = khatri_rao(a, b)
+    return pinv_full_rank(kr) - pinv_full_rank(hadamard(a.T @ a, b.T @ b)) @ kr.T
+
+
+# identity_id -> (pass threshold on the max-abs residual, residual(rng, dim): one draw's left
+# minus right side, `dim(high)` drawing a factor dimension in 2..high), in draw order
+IDENTITIES = {
+    "kron_mixed_product": (1e-8, _kron_mixed_product),
+    "kron_pinv_factor": (1e-6, _kron_pinv_factor),
+    "khatri_rao_assoc": (1e-12, _khatri_rao_assoc),
+    "khatri_rao_gram": (1e-8, _khatri_rao_gram),
+    "khatri_rao_pinv": (1e-6, _khatri_rao_pinv),
+}
+IDENTITY_THRESHOLDS = {name: threshold for name, (threshold, _) in IDENTITIES.items()}
 
 
 def verify_identities(seed: int, max_dim: int, draws: int = 100) -> IdentityReport:
     """Check the five product identities on seeded random conformable matrices.
 
-    Reports the max-abs residual per identity over `draws` draws.  Pseudo-
-    inverse identities use diagonally boosted full-column-rank draws;
-    rank-deficient draws are re-sampled with a bounded retry budget.
-    """
+    Reports the max-abs residual per identity over `draws` rounds, each drawing every
+    identity in table order from one stream.  A pinv identity's draw is diagonally boosted
+    to full column rank; a singular one is re-drawn, up to MAX_RESAMPLE_ATTEMPTS times."""
     if not 2 <= expect_int(max_dim, "max_dim", ParameterError) <= 8:
         raise ParameterError(f"max_dim must be in [2, 8], got {max_dim}")
     expect_int(draws, "draws", ParameterError, 1)
-
     rng = CounterRng(seed, stream=0)
 
     def dim(high: int = max_dim) -> int:
         return int(rng.integers(1, 2, high + 1)[0])
 
-    worst = {name: 0.0 for name in IDENTITY_THRESHOLDS}
-
+    worst = dict.fromkeys(IDENTITIES, 0.0)
     for _ in range(draws):
-        # (A kron B)(C kron D) == AC kron BD
-        m, n, p, q, r, s = (dim() for _ in range(6))
-        a, b = _plain(rng, m, n), _plain(rng, p, q)
-        c, d = _plain(rng, n, r), _plain(rng, q, s)
-        res = kronecker(a, b) @ kronecker(c, d) - kronecker(a @ c, b @ d)
-        worst["kron_mixed_product"] = max(worst["kron_mixed_product"], _max_abs(res))
+        for name, (_, residual) in IDENTITIES.items():
+            for _ in range(MAX_RESAMPLE_ATTEMPTS):
+                try:
+                    worst[name] = max(worst[name], float(np.max(np.abs(residual(rng, dim)))))
+                    break
+                except SingularMatrixError:
+                    continue
+            else:
+                raise SamplingError(f"no full-rank draw within {MAX_RESAMPLE_ATTEMPTS} attempts")
 
-        # pinv(A kron B) == pinv(A) kron pinv(B), full-column-rank draws
-        def kron_pinv_residual() -> float:
-            am, bm = dim(), dim()
-            an, bn = dim(am), dim(bm)
-            a2, b2 = _boosted(rng, am, an), _boosted(rng, bm, bn)
-            lhs = pinv_full_rank(kronecker(a2, b2))
-            rhs = kronecker(pinv_full_rank(a2), pinv_full_rank(b2))
-            return _max_abs(lhs - rhs)
-
-        worst["kron_pinv_factor"] = max(
-            worst["kron_pinv_factor"], _with_resampling(kron_pinv_residual)
-        )
-
-        # (A kr B) kr C == A kr (B kr C)
-        k = dim()
-        a3, b3, c3 = (_plain(rng, dim(), k) for _ in range(3))
-        res = khatri_rao(khatri_rao(a3, b3), c3) - khatri_rao(a3, khatri_rao(b3, c3))
-        worst["khatri_rao_assoc"] = max(worst["khatri_rao_assoc"], _max_abs(res))
-
-        # (A kr B)^T (A kr B) == (A^T A) * (B^T B)
-        k = dim()
-        a4, b4 = _plain(rng, dim(), k), _plain(rng, dim(), k)
-        kr = khatri_rao(a4, b4)
-        res = kr.T @ kr - hadamard(a4.T @ a4, b4.T @ b4)
-        worst["khatri_rao_gram"] = max(worst["khatri_rao_gram"], _max_abs(res))
-
-        # pinv(A kr B) == pinv((A^T A) * (B^T B)) (A kr B)^T, full-column-rank draws
-        def kr_pinv_residual() -> float:
-            am, bm = dim(), dim()
-            k2 = dim(min(am, bm))
-            a5, b5 = _boosted(rng, am, k2), _boosted(rng, bm, k2)
-            kr5 = khatri_rao(a5, b5)
-            lhs = pinv_full_rank(kr5)
-            rhs = pinv_full_rank(hadamard(a5.T @ a5, b5.T @ b5)) @ kr5.T
-            return _max_abs(lhs - rhs)
-
-        worst["khatri_rao_pinv"] = max(
-            worst["khatri_rao_pinv"], _with_resampling(kr_pinv_residual)
-        )
-
-    checks = tuple(
-        IdentityCheck(name, worst[name], IDENTITY_THRESHOLDS[name], worst[name] < IDENTITY_THRESHOLDS[name])
-        for name in IDENTITY_THRESHOLDS
-    )
+    checks = tuple(IdentityCheck(name, worst[name], threshold, worst[name] < threshold)
+                   for name, (threshold, _) in IDENTITIES.items())
     return IdentityReport(seed=seed, max_dim=max_dim, draws=draws, checks=checks)

@@ -197,7 +197,7 @@ def test_train_rejects_threads_below_one(tmp_path):
     for threads in ("0", "-5"):
         result = run_cli("train", "--config", config, "--threads", threads)
         assert result.returncode == 2, result.stderr
-        assert f"error: --threads must be >= 1, got {threads}" in result.stderr
+        assert f"error: --threads must be an integer >= 1, got {threads}" in result.stderr
 
 
 def test_train_rejects_non_finite_csv(tmp_path):

@@ -178,6 +178,17 @@ def test_gradient_bits_do_not_depend_on_the_target_layout(loss, head):
             assert all(got[name].tobytes() == want[name].tobytes() for name in want)
 
 
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("loss", ["mse", "cross_entropy"])
+def test_the_head_gradient_is_c_ordered_whatever_the_logits_layout(loss, order):
+    """The loss step hands the head a C-ordered gradient for Fortran-ordered logits too,
+    so the diagonal layers' row sums never run pairwise.  Unlike the trained-bytes pins,
+    which would also see a Fortran-ordered one, this runs on every CPU."""
+    logits = np.asarray(CounterRng(8).normal(5 * 4).reshape(5, 4), order=order)
+    target, labels = network._checked_target(loss, np.eye(4)[[0, 3, 1, 1, 2]], logits.shape)
+    assert network._loss_and_gradient(loss, logits, target, labels)[1].flags.c_contiguous
+
+
 def test_loss_eval_errors():
     with pytest.raises(ShapeError):
         loss_eval("mse", np.zeros(3), np.zeros(4))

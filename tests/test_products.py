@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from crosswise.errors import ParameterError, ShapeError
+from crosswise import products
+from crosswise.errors import ParameterError, SamplingError, ShapeError, SingularMatrixError
 from crosswise.linalg import pinv_full_rank
 from crosswise.products import (
     IDENTITY_THRESHOLDS,
+    MAX_RESAMPLE_ATTEMPTS,
     hadamard,
     khatri_rao,
     kronecker,
@@ -131,3 +133,60 @@ def test_verify_identities_deterministic():
 def test_verify_identities_rejects_bad_max_dim(bad_dim):
     with pytest.raises(ParameterError):
         verify_identities(0, bad_dim)
+
+
+def _recorded_factors(monkeypatch):
+    """The (kind, rows, cols) of every factor that `verify_identities` draws, in order."""
+    drawn = []
+    for kind in ("_plain", "_boosted"):
+        def recorded(rng, rows, cols, kind=kind, draw=getattr(products, kind)):
+            drawn.append((kind, rows, cols))
+            return draw(rng, rows, cols)
+        monkeypatch.setattr(products, kind, recorded)
+    return drawn
+
+
+def test_identity_draw_order_is_pinned(monkeypatch):
+    """Each identity's factors, in the order the stream draws them.  The residuals come
+    from BLAS products, so a changed order would otherwise show only as bit changes, and
+    only on some CPUs."""
+    drawn = _recorded_factors(monkeypatch)
+    verify_identities(7, 4, draws=2)
+    plain, boosted = "_plain", "_boosted"
+    assert drawn == [
+        (plain, 2, 4), (plain, 3, 2), (plain, 4, 3), (plain, 2, 3),
+        (boosted, 3, 3), (boosted, 3, 3),
+        (plain, 3, 4), (plain, 4, 4), (plain, 3, 4),
+        (plain, 2, 2), (plain, 3, 2),
+        (boosted, 4, 4), (boosted, 4, 4),
+        (plain, 2, 2), (plain, 2, 3), (plain, 2, 4), (plain, 3, 3),
+        (boosted, 3, 3), (boosted, 3, 3),
+        (plain, 3, 4), (plain, 2, 4), (plain, 2, 4),
+        (plain, 3, 2), (plain, 4, 2),
+        (boosted, 2, 2), (boosted, 3, 2),
+    ]
+
+
+@pytest.mark.parametrize("singular", [1, MAX_RESAMPLE_ATTEMPTS - 1, MAX_RESAMPLE_ATTEMPTS])
+def test_a_singular_draw_is_redrawn_up_to_the_attempt_budget(monkeypatch, singular):
+    """A draw whose pseudo-inverse is refused as singular is drawn again from the stream,
+    up to MAX_RESAMPLE_ATTEMPTS draws of one identity in all; then SamplingError."""
+    drawn, calls = _recorded_factors(monkeypatch), []
+
+    def pinv(m):  # refuses the first `singular` calls: each at a kron_pinv_factor draw's first
+        calls.append(m.shape)
+        if len(calls) <= singular:
+            raise SingularMatrixError("singular draw")
+        return pinv_full_rank(m)
+
+    monkeypatch.setattr(products, "pinv_full_rank", pinv)
+    redrawn = singular < MAX_RESAMPLE_ATTEMPTS
+    if redrawn:
+        assert verify_identities(7, 4, draws=1).passed
+    else:
+        with pytest.raises(SamplingError, match=f"within {MAX_RESAMPLE_ATTEMPTS} attempts"):
+            verify_identities(7, 4, draws=1)
+    # kron_mixed_product's four factors, a boosted pair per kron_pinv_factor attempt, then
+    # (if one passed) khatri_rao_assoc's first factor
+    expected = ["_plain"] * 4 + ["_boosted"] * 2 * min(singular + 1, MAX_RESAMPLE_ATTEMPTS)
+    assert [kind for kind, _, _ in drawn][: len(expected) + 1] == expected + ["_plain"] * redrawn

@@ -29,6 +29,7 @@ from crosswise.errors import ParameterError, ShapeError, expect_int, expect_posi
 from crosswise.features import (
     FeatureMap,
     McKernelBlock,
+    apply_zhat,
     feature_map_apply,
     fwht,
     kernel_exact,
@@ -104,6 +105,9 @@ REFUSED = {
     "mixed-layer-without-perm": (
         lambda: CrosswiseLayer(LayerSpec("crosswise_mixed", 4, 3), init_crosswise(0, 4, 3),
                                np.ones(4)), "crosswise_mixed"),
+    "mixed-layer-fractional-perm": (
+        lambda: CrosswiseLayer(LayerSpec("crosswise_mixed", 4, 3), init_crosswise(0, 4, 3),
+                               np.ones(4), [0.9, 1.9, 2.9, 3.9]), "perm"),
     "dense-spec-as-a-diagonal-layer": (
         lambda: CrosswiseLayer(LayerSpec("dense", 4, 3), init_crosswise(0, 4, 3)), "dense"),
 }
@@ -179,6 +183,12 @@ MIXED = build_network(NetworkSpec((LayerSpec("crosswise_mixed", 3, 5),), seed=2)
 WEIGHTS = init_crosswise(0, 4, 3)  # 4 inputs, 3 outputs
 FEATURE_MAP = FeatureMap((BLOCK,), 4)
 CURSOR = CounterRng(5, stream=6)  # each draw from it below refuses its value
+STEP_DATA = Dataset(np.zeros((1, 3)), np.zeros(1), 0)
+# Permutations of 0..3 written with other than integers, each of which NumPy would cast
+# to one: fractions, float arrays, strings, and bools for 0 and 1.
+NOT_INTEGER_PERMS = st.permutations(range(4)).flatmap(lambda p: st.sampled_from((
+    [v + 0.5 for v in p], np.array(p, dtype=np.float64), [str(v) for v in p],
+    [v == 1 if v < 2 else v for v in p], np.array(p) < 2)))
 # 2-D features whose width is not STEP_NET's 3 inputs, in datasets that are otherwise fine.
 NARROW_OR_WIDE = st.tuples(st.integers(1, 3), st.integers(0, 5).filter(lambda w: w != 3)).map(
     lambda shape: Dataset(np.zeros(shape), np.zeros(shape[0]), 0))
@@ -250,6 +260,9 @@ ARGUMENTS = {
                              shape_other_than((..., None))),
     "loss_eval target": (lambda v: loss_eval("mse", np.zeros(2), v), "target", ShapeError,
                          shape_other_than((2,))),
+    "train_network threads": (
+        lambda v: train_network(STEP_NET, TrainConfig(0.1, 0, 1, "mse", 0), STEP_DATA, v),
+        "threads", ParameterError, below(1)),
     "train_network data": (lambda v: train_network(STEP_NET, TrainConfig(0.1, 1, 1, "mse", 0), v),
                            "dataset features", ShapeError, NARROW_OR_WIDE),
     "khatri_rao a": (lambda v: khatri_rao(v, np.zeros((2, 3))), "khatri_rao a", ShapeError,
@@ -302,12 +315,18 @@ ARGUMENTS = {
     "fwht v": (fwht, "fwht input", ShapeError, shape_other_than((..., None))),
     "mixing_factors signs": (lambda v: mixing_factors(v, np.arange(4), 4), "signs", ShapeError,
                              shape_other_than((4,))),
+    "mixing_factors perm": (lambda v: mixing_factors(np.ones(4), v, 4), "perm", ShapeError,
+                            shape_other_than((None,))),
+    "mixing_factors perm entries": (lambda v: mixing_factors(np.ones(4), v, 4), "perm",
+                                    ParameterError, NOT_INTEGER_PERMS),
     "McKernelBlock b_signs": (lambda v: McKernelBlock(**{**BLOCK_FIELDS, "b_signs": v}), "signs",
                               ShapeError, shape_other_than((4,))),
     "McKernelBlock g_diag": (lambda v: McKernelBlock(**{**BLOCK_FIELDS, "g_diag": v}), "g_diag",
                              ShapeError, shape_other_than((4,))),
     "McKernelBlock c_diag": (lambda v: McKernelBlock(**{**BLOCK_FIELDS, "c_diag": v}), "c_diag",
                              ShapeError, shape_other_than((4,))),
+    "apply_zhat x": (lambda v: apply_zhat(BLOCK, v), "zhat input", ShapeError,
+                     shape_other_than((..., None))),
     "feature_map_apply x": (lambda v: feature_map_apply(FEATURE_MAP, v), "feature map input",
                             ShapeError, shape_other_than((..., 4))),
     "kernel_exact sigma": (lambda v: kernel_exact(np.zeros(2), np.ones(2), v), "sigma",
