@@ -34,7 +34,6 @@ from .network import (
     NetworkSpec,
     TrainConfig,
     build_network,
-    count_mults,
     count_weights,
     model_to_json,
     network_forward,
@@ -212,8 +211,8 @@ def cmd_bench(args) -> int:
         for kind in ("dense", "crosswise"):
             spec = NetworkSpec(layers=(LayerSpec(kind, n, m, "relu"),), seed=args.seed)
             x = CounterRng(args.seed, stream=1).uniform(n, -1.0, 1.0)
-            rows.append((kind, n, m, count_weights(spec).total_weights,
-                         count_mults(spec).total_mults,
+            counts = count_weights(spec)
+            rows.append((kind, n, m, counts.total_weights, counts.total_mults,
                          _median_forward_ns(build_network(spec), x, args.reps), args.reps))
     write_csv(args.out, ("layer_kind", "n", "m", "weights", "mults", "median_ns", "reps"), rows)
     for row in rows:

@@ -538,45 +538,49 @@ def count_weights(spec: NetworkSpec) -> Counts:
 count_mults = count_weights
 
 
-def model_to_json(net: Network) -> dict:
-    layers = []
-    for layer in net.layers:
-        entry = {"type": layer.kind, "n": layer.spec.in_dim, "m": layer.spec.out_dim}
-        if layer.kind == "crosswise_mixed":
-            entry["pad"] = layer.pad
-        if layer.kind != "dense":
-            entry["k"] = layer.weights.k
-        entry.update((name, p.ravel().tolist()) for name, p in layer.params().items())
-        if layer.kind == "crosswise_mixed":
-            entry.update(signs=layer.signs.astype(np.int64).tolist(), perm=layer.perm.tolist())
-        entry["activation"] = layer.spec.activation
-        layers.append(entry)
-    return {"version": 1, "layers": layers}
-
-
-_MODEL_LAYER_KEYS = {
-    "dense": {"type", "n", "m", "w", "b"},
-    "crosswise": {"type", "n", "m", "k", "c", "b"},
-    "crosswise_mixed": {"type", "n", "m", "pad", "k", "c", "b", "signs", "perm"},
+# Each layer kind's keys in a version-1 model file, in file order, between its "type", "n"
+# and "m" and its "activation".
+_MODEL_KEYS = {
+    "dense": ("w", "b"),
+    "crosswise": ("k", "c", "b"),
+    "crosswise_mixed": ("pad", "k", "c", "b", "signs", "perm"),
 }
 
 
-def _model_array(entry: dict, key: str, context: str, kinds: str = "if") -> np.ndarray:
-    """A flat list of finite numbers (of integers for kinds "i") as an array."""
-    try:
-        arr = np.array(entry[key]) if isinstance(entry[key], list) else None
-    except ValueError:  # ragged nesting
-        arr = None
-    if arr is None or arr.ndim != 1 or (arr.size and arr.dtype.kind not in kinds):
-        what = "integers" if kinds == "i" else "numbers"
-        raise ParameterError(f"{context}.{key} must be a flat list of {what}")
-    if not np.all(np.isfinite(arr)):
-        raise ParameterError(f"{context}.{key} holds non-finite values")
-    return arr
+def model_to_json(net: Network) -> dict:
+    layers = []
+    for layer in net.layers:
+        values = {name: p.ravel().tolist() for name, p in layer.params().items()}
+        if layer.kind != "dense":
+            values.update(pad=layer.pad, k=layer.weights.k)
+        if layer.kind == "crosswise_mixed":
+            values.update(signs=layer.signs.astype(np.int64).tolist(), perm=layer.perm.tolist())
+        layers.append({"type": layer.kind, "n": layer.spec.in_dim, "m": layer.spec.out_dim,
+                       **{key: values[key] for key in _MODEL_KEYS[layer.kind]},
+                       "activation": layer.spec.activation})
+    return {"version": 1, "layers": layers}
+
+
+def _model_value(entry: dict, key: str, context: str):
+    """A size as an int; else a list of finite numbers (of integers for `perm`) as a flat
+    array.  A bool is not a number, and a number beyond int64 or float64 is refused."""
+    if key in ("n", "m", "k", "pad"):
+        return expect_int(entry[key], f"{context}.{key}", ParameterError)
+    value, ints = entry[key], key == "perm"
+    if type(value) is list and set(map(type, value)) <= ({int} if ints else {int, float}):
+        try:
+            arr = np.array(value, dtype=np.int64 if ints else np.float64)
+            if np.isfinite(arr).all():
+                return arr
+        except OverflowError:
+            pass
+    what = "integers within int64" if ints else "finite numbers"
+    raise ParameterError(f"{context}.{key} must be a flat list of {what}")
 
 
 def model_from_json(doc: dict, seed: int = 0) -> Network:
-    """Rebuild a network from `model_to_json` output; malformed models raise ParameterError."""
+    """Rebuild a network from `model_to_json` output; malformed models raise ParameterError
+    (a list of the wrong length ShapeError), naming the layer."""
     expect_keys(doc, {"version", "layers"}, "model", error=ParameterError)
     if expect_int(doc["version"], "model.version", ParameterError) != 1:
         raise ParameterError(f"unsupported model version {doc['version']!r}")
@@ -586,25 +590,19 @@ def model_from_json(doc: dict, seed: int = 0) -> Network:
     for i, entry in enumerate(doc["layers"]):
         context = f"model.layers[{i}]"
         kind = entry.get("type") if isinstance(entry, dict) else None
-        if not isinstance(kind, str) or kind not in _MODEL_LAYER_KEYS:
+        if not isinstance(kind, str) or kind not in _MODEL_KEYS:
             raise ParameterError(f"{context}: unknown layer type {kind!r}")
-        expect_keys(entry, _MODEL_LAYER_KEYS[kind], context, {"activation"}, ParameterError)
-        ints = {key: expect_int(entry[key], f"{context}.{key}", ParameterError)
-                for key in ("n", "m", "k", "pad") if key in entry}
-        lspec = LayerSpec(kind=kind, in_dim=ints["n"], out_dim=ints["m"],
-                          activation=entry.get("activation", "relu"))
-        b = _model_array(entry, "b", context)
-        if kind == "dense":
-            w = expect_shape(_model_array(entry, "w", context),
-                             (lspec.out_dim * lspec.in_dim,), f"{context}.w")
-            layer = DenseLayer(lspec, w.reshape(lspec.out_dim, lspec.in_dim), b)
-        else:
-            weights = CrosswiseWeights(
-                in_dim=ints.get("pad", lspec.in_dim), out_dim=lspec.out_dim, k=ints["k"],
-                c=_model_array(entry, "c", context), b=b,
-            )
-            stage = [_model_array(entry, key, context, kinds)
-                     for key, kinds in (("signs", "if"), ("perm", "i")) if key in entry]
-            layer = CrosswiseLayer(lspec, weights, *stage)
-        layers.append(layer)
+        keys = ("n", "m", *_MODEL_KEYS[kind])
+        expect_keys(entry, {"type", *keys}, context, {"activation"}, ParameterError)
+        v = {key: _model_value(entry, key, context) for key in keys}
+        try:
+            lspec = LayerSpec(kind, v["n"], v["m"], entry.get("activation", "relu"))
+            if kind == "dense":
+                w = expect_shape(v["w"], (v["m"] * v["n"],), "w").reshape(v["m"], v["n"])
+                layers.append(DenseLayer(lspec, w, v["b"]))
+            else:
+                weights = CrosswiseWeights(v.get("pad", v["n"]), v["m"], v["k"], v["c"], v["b"])
+                layers.append(CrosswiseLayer(lspec, weights, v.get("signs"), v.get("perm")))
+        except (ParameterError, ShapeError) as error:
+            raise type(error)(f"{context}: {error}") from None
     return Network(layers, seed)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from crosswise import cli
+from crosswise.network import model_from_json, model_to_json
 from crosswise.products import IdentityCheck, IdentityReport
 
 
@@ -51,9 +52,11 @@ def test_train_end_to_end(tmp_path):
     history = (tmp_path / "history.csv").read_text().splitlines()
     assert history[0] == "epoch,loss,accuracy,wall_ms"
     assert len(history) == 1 + 3  # header + one row per epoch
-    model = json.loads((tmp_path / "model.json").read_text())
+    text = (tmp_path / "model.json").read_text()
+    model = json.loads(text)
     assert model["version"] == 1
     assert len(model["layers"]) == 2
+    assert text == json.dumps(model_to_json(model_from_json(model)), indent=1) + "\n"
 
 
 def test_train_missing_config(tmp_path):

@@ -702,21 +702,33 @@ def test_mixed_layer_is_the_crosswise_layer_on_the_padded_width():
         network.CrosswiseLayer(plain, init_crosswise(0, 8, 3))
 
 
-def test_model_json_roundtrip():
-    spec = NetworkSpec(layers=(
-        LayerSpec(kind="dense", in_dim=3, out_dim=5, activation="relu"),
-        LayerSpec(kind="crosswise", in_dim=5, out_dim=4, activation="identity"),
-        LayerSpec(kind="crosswise_mixed", in_dim=4, out_dim=2, activation="softmax_output"),
-    ), seed=11)
-    net = build_network(spec)
-    doc = json.loads(json.dumps(model_to_json(net)))
+@st.composite
+def _any_stack(draw):
+    """1-4 layer specs of any kinds, widths 1-40 (powers of two or not) and activations; each
+    layer's output width is drawn equal to its input width or from 1-40, above or below it."""
+    widths = [draw(st.integers(1, 40))]
+    for _ in range(draw(st.integers(1, 4))):
+        widths.append(draw(st.just(widths[-1]) | st.integers(1, 40)))
+    last = len(widths) - 2
+    return tuple(
+        LayerSpec(draw(st.sampled_from(network.LAYER_KINDS)), n, m,
+                  draw(st.sampled_from(("relu", "identity", "softmax_output")[: 2 + (i == last)])))
+        for i, (n, m) in enumerate(zip(widths, widths[1:])))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_any_stack(), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_model_json_roundtrip(layers, rows, seed):
+    """A saved model reloads to the same text and the same forward bits on a C-ordered batch."""
+    net = build_network(NetworkSpec(layers, seed=seed))
+    text = json.dumps(model_to_json(net), indent=1)
+    doc = json.loads(text)
     assert doc["version"] == 1
-    assert [entry["type"] for entry in doc["layers"]] == [
-        "dense", "crosswise", "crosswise_mixed",
-    ]
-    restored = model_from_json(doc, seed=11)
-    x = CounterRng(12).uniform(3, -1, 1)
-    np.testing.assert_array_equal(network_forward(net, x), network_forward(restored, x))
+    assert [entry["type"] for entry in doc["layers"]] == [layer.kind for layer in layers]
+    restored = model_from_json(doc, seed=seed)
+    assert json.dumps(model_to_json(restored), indent=1) == text
+    x = np.random.default_rng(seed).standard_normal((rows, layers[0].in_dim))
+    assert network_forward(restored, x).tobytes() == network_forward(net, x).tobytes()
 
 
 # json.dumps(model_to_json(net), indent=1) of _tiny_net(), frozen when the
@@ -868,6 +880,11 @@ def _poke(layer, key, value):
     return fault
 
 
+def _perm_bools(doc):
+    perm = doc["layers"][2]["perm"]
+    perm[perm.index(0)], perm[perm.index(1)] = False, True
+
+
 MODEL_FAULTS = {
     "mixed-without-pad": _drop(2, "pad"),
     "dense-nan-w": _poke(0, "w", math.nan),
@@ -884,15 +901,34 @@ MODEL_FAULTS = {
     "perm-floats": _set(2, "perm", [0.0, 1.0, 2.0, 3.0]),
     "layer-not-an-object": lambda doc: doc["layers"].__setitem__(0, []),
     "layers-missing": lambda doc: doc.pop("layers"),
+    # A bool is not a number, not even in a list of numbers.
+    "perm-bools": _perm_bools,
+    "signs-true": _poke(2, "signs", True),
+    "crosswise-true-c": _poke(1, "c", True),
+    "dense-true-w": _poke(0, "w", True),
+    "dense-true-b": _poke(0, "b", True),
+    # Numbers beyond the array's dtype, and a null.
+    "perm-beyond-int64": _poke(2, "perm", 2**63),
+    "c-beyond-float64": _poke(1, "c", 10**400),
+    "dense-null-b": _poke(0, "b", None),
+    # Refusals of the layer constructors, which the loader prefixes with the layer.
+    "n-zero": _set(0, "n", 0),
+    "unknown-activation": _set(0, "activation", "tanh"),
+    "crosswise-wrong-k": _set(1, "k", 2),
+    "mixed-wrong-pad": _set(2, "pad", 16),
+    "perm-repeated": _set(2, "perm", [0, 0, 1, 2]),
 }
+# The rows refused with ShapeError; every other row is refused with ParameterError.
+MODEL_SHAPE_FAULTS = {"mixed-wrong-pad"}
 
 
-@pytest.mark.parametrize("fault", MODEL_FAULTS.values(), ids=MODEL_FAULTS.keys())
-def test_model_json_refuses_malformed_models(fault):
+@pytest.mark.parametrize("name", MODEL_FAULTS)
+def test_model_json_refuses_malformed_models(name):
     doc = _model_doc()
     model_from_json(doc)
-    fault(doc)
-    with pytest.raises(ParameterError):
+    MODEL_FAULTS[name](doc)
+    error = ShapeError if name in MODEL_SHAPE_FAULTS else ParameterError
+    with pytest.raises(error, match=r"^model"):
         model_from_json(doc)
 
 
