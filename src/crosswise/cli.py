@@ -43,12 +43,6 @@ from .products import verify_identities
 from .rng import CounterRng, derive_seed
 
 
-def _real(value, context: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{context} must be a number, got {value!r}")
-    return float(value)
-
-
 def _path(value, context: str) -> str:
     if not isinstance(value, str):
         raise ConfigError(f"{context} must be a path string, got {value!r}")
@@ -62,21 +56,19 @@ def _layers(value, context: str) -> tuple:
                  for i, entry in enumerate(value))
 
 
-# One table per config section: each key and the check that returns its value,
-# in the order of the parameters the section is built with.  None takes the
-# value as it is: a choice of names that the built object checks itself.
-_CONFIG_FIELDS = {"version": expect_int, "network": None, "train": None, "data": None,
-                  "out": None}
-_NETWORK_FIELDS = {"layers": _layers, "seed": expect_int}
-_LAYER_FIELDS = {"kind": None, "in": expect_int, "out": expect_int, "activation": None}
-_TRAIN_FIELDS = {"lr": _real, "epochs": expect_int, "batch": expect_int, "loss": None,
-                 "seed": expect_int}
+# One table per config section: its keys, in the order of the parameters the section is built
+# with.  The built object checks each value and `_named_call` names the key; a check here is for
+# the version, layers or paths, which no built object checks (`open(5)` would read fd 5).
+_CONFIG_FIELDS = {"version": expect_int, **dict.fromkeys(("network", "train", "data", "out"))}
+_NETWORK_FIELDS = {"layers": _layers, "seed": None}
+_LAYER_FIELDS = dict.fromkeys(("kind", "in", "out", "activation"))
+_TRAIN_FIELDS = dict.fromkeys(("lr", "epochs", "batch", "loss", "seed"))
 _OUT_FIELDS = {"history": _path, "model": _path}
 # data.kind -> (the dataset builder, the table of its other keys)
 _DATA_KINDS = {
-    "blobs": (gen_blobs, {"seed": expect_int, "samples_per_class": expect_int,
-                          "dims": expect_int, "classes": expect_int, "spread": _real}),
-    "xor": (gen_xor, {"seed": expect_int, "samples": expect_int, "noise": _real}),
+    "blobs": (gen_blobs, dict.fromkeys(("seed", "samples_per_class", "dims", "classes",
+                                        "spread"))),
+    "xor": (gen_xor, dict.fromkeys(("seed", "samples", "noise"))),
     "csv": (load_csv, {"path": _path}),
 }
 
@@ -114,7 +106,7 @@ def load_config(path):
             doc = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:  # a JSON, UTF-8 or integer-length fault
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return parse_config(doc)
 

@@ -1,5 +1,7 @@
 """Exception types shared across the library, and the strict checks that raise them."""
 
+import sys
+
 import numpy as np
 
 
@@ -51,9 +53,10 @@ def expect_int(value, context: str, error: type = ConfigError, low: int | None =
 
 
 def expect_finite(value, context: str, what: str = "a finite number"):
-    """`value` if it is a finite real number (a bool is not); else ParameterError."""
+    """`value` if it is a number in float64's finite range (a bool is not); else ParameterError."""
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)) \
-            or not -np.inf < value < np.inf:
+            or not -np.inf < value < np.inf \
+            or type(value) is int and abs(value) > sys.float_info.max:
         raise ParameterError(f"{context} must be {what}, got {value!r}")
     return value
 

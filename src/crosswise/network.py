@@ -78,7 +78,7 @@ class NetworkSpec:
             raise ParameterError(f"network layers must be a list of LayerSpec, got "
                                  f"{self.layers!r}")
         object.__setattr__(self, "layers", tuple(self.layers))
-        expect_int(self.seed, "network seed", ParameterError)
+        expect_int(self.seed, "seed", ParameterError)
         if not self.layers:
             raise ParameterError("network needs at least one layer")
         for i in range(len(self.layers) - 1):
@@ -581,6 +581,7 @@ def _model_value(entry: dict, key: str, context: str):
 def model_from_json(doc: dict, seed: int = 0) -> Network:
     """Rebuild a network from `model_to_json` output; malformed models raise ParameterError
     (a list of the wrong length ShapeError), naming the layer."""
+    expect_int(seed, "seed", ParameterError)  # no part of the model: no `model` prefix
     expect_keys(doc, {"version", "layers"}, "model", error=ParameterError)
     if expect_int(doc["version"], "model.version", ParameterError) != 1:
         raise ParameterError(f"unsupported model version {doc['version']!r}")
@@ -605,4 +606,7 @@ def model_from_json(doc: dict, seed: int = 0) -> Network:
                 layers.append(CrosswiseLayer(lspec, weights, v.get("signs"), v.get("perm")))
         except (ParameterError, ShapeError) as error:
             raise type(error)(f"{context}: {error}") from None
-    return Network(layers, seed)
+    try:
+        return Network(layers, seed)
+    except (ParameterError, ShapeError) as error:  # the spec's chain and softmax checks
+        raise type(error)(f"model.layers: {error}") from None

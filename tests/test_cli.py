@@ -69,9 +69,13 @@ def test_train_invalid_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
     assert run_cli("train", "--config", str(path)).returncode == 2
-    path.write_bytes(b'{"version": \xff}')
-    result = run_cli("train", "--config", str(path))
-    assert result.returncode == 2 and "Traceback" not in result.stderr, result.stderr
+    # Bytes that are not UTF-8, and an integer beyond Python's 4,300-digit conversion limit,
+    # which `json.load` refuses with a plain ValueError.
+    for text in (b'{"version": \xff}', b'{"version": ' + b"7" * 5000 + b"}"):
+        path.write_bytes(text)
+        result = run_cli("train", "--config", str(path))
+        assert result.returncode == 2 and "Traceback" not in result.stderr, result.stderr
+        assert result.stderr.startswith(f"error: config {path} is not valid JSON: ")
 
 
 def test_train_rejects_unknown_key(tmp_path):
@@ -429,21 +433,56 @@ def test_gen_data_refusals_name_the_flag(tmp_path, capsys, argv, message):
     assert not out.exists()
 
 
-# (config section, key, value, the refusal): it names the key as typed.
+XOR_DATA = {"kind": "xor", "seed": 1, "samples": 64, "noise": 0.1}
+
+
+def _config_with(tmp_path, section, key, value):
+    """The base config with `section`'s `key` set to `value`, and the section's name in a
+    refusal.  Section "xor" is the data section of an xor dataset."""
+    cfg = base_config(tmp_path)
+    if section == "xor":
+        cfg["data"], section = dict(XOR_DATA), "data"
+    doc = cfg["network"]["layers"][0] if section == "network.layers[0]" else cfg[section]
+    doc[key] = value
+    return cfg, section
+
+
+def _row_ids(rows, name):
+    """`name(row)` for each row; a name's later rows add the type of their value, row[2]."""
+    ids, seen = [], set()
+    for row in rows:
+        ids.append(f"{name(row)}-{type(row[2]).__name__}" if name(row) in seen else name(row))
+        seen.add(name(row))
+    return ids
+
+
+# (config section, key, value, the refusal): it names the key as typed.  A wrong type
+# gets the built object's refusal, which states the bound.
 CONFIG_REFUSALS = [
     ("data", "classes", 0, "config.data.classes must be an integer >= 1, got 0"),
     ("data", "samples_per_class", 0,
      "config.data.samples_per_class must be an integer >= 1, got 0"),
     ("train", "lr", -0.1, "config.train.lr must be positive and finite, got -0.1"),
     ("train", "batch", 0, "config.train.batch must be an integer >= 1, got 0"),
+    ("train", "lr", "x", "config.train.lr must be positive and finite, got 'x'"),
+    ("train", "lr", 10**400, f"config.train.lr must be positive and finite, got {10**400}"),
+    ("train", "epochs", 1.5, "config.train.epochs must be an integer >= 0, got 1.5"),
+    ("train", "batch", "16", "config.train.batch must be an integer >= 1, got '16'"),
+    ("data", "samples_per_class", 2.5,
+     "config.data.samples_per_class must be an integer >= 1, got 2.5"),
+    ("data", "dims", True, "config.data.dims must be an integer >= 1, got True"),
+    ("data", "classes", None, "config.data.classes must be an integer >= 1, got None"),
+    ("data", "spread", "0.3", "config.data.spread must be >= 0 and finite, got '0.3'"),
+    ("data", "spread", 10**400, f"config.data.spread must be >= 0 and finite, got {10**400}"),
+    ("xor", "samples", 64.0, "config.data.samples must be an integer >= 4, got 64.0"),
+    ("xor", "noise", [], "config.data.noise must be >= 0 and finite, got []"),
 ]
 
 
 @pytest.mark.parametrize("section, key, value, message", CONFIG_REFUSALS,
-                         ids=[f"{section}.{key}" for section, key, _, _ in CONFIG_REFUSALS])
+                         ids=_row_ids(CONFIG_REFUSALS, lambda row: f"{row[0]}.{row[1]}"))
 def test_train_config_refusals_name_the_key(tmp_path, capsys, section, key, value, message):
-    cfg = base_config(tmp_path)
-    cfg[section][key] = value
+    cfg, _ = _config_with(tmp_path, section, key, value)
     assert cli.main(["train", "--config", write_config(tmp_path, cfg)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "history.csv").exists()
@@ -455,17 +494,49 @@ LAYER_REFUSALS = [
                         "('dense', 'crosswise', 'crosswise_mixed'), got 'conv'"),
     (0, "in", 0, "config.network.layers[0].in must be an integer >= 1, got 0"),
     (1, "out", -2, "config.network.layers[1].out must be an integer >= 1, got -2"),
+    (0, "in", "4", "config.network.layers[0].in must be an integer >= 1, got '4'"),
+    (1, "out", 2.0, "config.network.layers[1].out must be an integer >= 1, got 2.0"),
 ]
 
 
 @pytest.mark.parametrize("layer, key, value, message", LAYER_REFUSALS,
-                         ids=[key for _, key, _, _ in LAYER_REFUSALS])
+                         ids=_row_ids(LAYER_REFUSALS, lambda row: row[1]))
 def test_train_layer_refusals_name_the_key(tmp_path, capsys, layer, key, value, message):
     cfg = base_config(tmp_path)
     cfg["network"]["layers"][layer][key] = value
     assert cli.main(["train", "--config", write_config(tmp_path, cfg)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "history.csv").exists()
+
+
+# (section, key, whether it is an integer) for every key of the network, layer, train and
+# data sections, the blobs and the xor ones.
+CONFIG_KEYS = [
+    ("network", "layers", False), ("network", "seed", True),
+    *(("network.layers[0]", key, key in ("in", "out"))
+      for key in ("kind", "in", "out", "activation")),
+    *(("train", key, key in ("epochs", "batch", "seed"))
+      for key in ("lr", "epochs", "batch", "loss", "seed")),
+    *(("data", key, key not in ("kind", "spread"))
+      for key in ("kind", "seed", "samples_per_class", "dims", "classes", "spread")),
+    *(("xor", key, key != "noise") for key in ("seed", "samples", "noise")),
+]
+WRONG_VALUES = [
+    (section, key, value) for section, key, integer in CONFIG_KEYS
+    for value in (True, "1", None, [], *((1.5,) if integer else ()))
+]
+
+
+@pytest.mark.parametrize("section, key, value", WRONG_VALUES,
+                         ids=[f"{s}.{k}={json.dumps(v)}" for s, k, v in WRONG_VALUES])
+def test_every_config_key_refuses_a_wrong_value_naming_the_key(tmp_path, capsys, section,
+                                                                key, value):
+    """Each exits 2 before any work, whichever check refuses it: the CLI's own (the layer
+    list, the data kind) or that of the object the section builds."""
+    cfg, name = _config_with(tmp_path, section, key, value)
+    assert cli.main(["train", "--config", write_config(tmp_path, cfg)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: config.{name}.{key} must ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
 
 
 def test_no_subcommand_is_usage_error():

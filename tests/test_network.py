@@ -880,6 +880,10 @@ def _poke(layer, key, value):
     return fault
 
 
+def _unchained(doc):  # layer 0 becomes 3 -> 4, layer 1 still takes 5
+    doc["layers"][0].update(m=4, w=[0.5] * 12, b=[0.0] * 4)
+
+
 def _perm_bools(doc):
     perm = doc["layers"][2]["perm"]
     perm[perm.index(0)], perm[perm.index(1)] = False, True
@@ -917,9 +921,13 @@ MODEL_FAULTS = {
     "crosswise-wrong-k": _set(1, "k", 2),
     "mixed-wrong-pad": _set(2, "pad", 16),
     "perm-repeated": _set(2, "perm", [0, 0, 1, 2]),
+    # Refusals of the network's own spec, which the loader prefixes with `model.layers`.
+    "layers-unchained": _unchained,
+    "softmax-on-layer-0": _set(0, "activation", "softmax_output"),
+    "layers-empty": lambda doc: doc["layers"].clear(),
 }
 # The rows refused with ShapeError; every other row is refused with ParameterError.
-MODEL_SHAPE_FAULTS = {"mixed-wrong-pad"}
+MODEL_SHAPE_FAULTS = {"mixed-wrong-pad", "layers-unchained"}
 
 
 @pytest.mark.parametrize("name", MODEL_FAULTS)

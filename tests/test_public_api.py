@@ -102,10 +102,12 @@ def test_readme_cli_examples_run(tmp_path):
 
 def test_import_leaves_the_thread_pool_out():
     """`import crosswise` does not import `concurrent.futures`: only a block
-    draw that splits its chi(n) draw across threads pays for it."""
+    draw that splits its chi(n) draw across threads pays for it.  Nor does it
+    import the command line (`crosswise.cli`, `argparse`), so a change there
+    cannot move the import time of a program that uses the library."""
     package_root = str(Path(crosswise.__file__).resolve().parents[1])
-    probe = ("import sys, crosswise; "
-             "print(sorted(m for m in sys.modules if m.startswith('concurrent')))")
+    probe = ("import sys, crosswise; print(sorted(m for m in sys.modules "
+             "if m.startswith(('concurrent', 'crosswise.cli', 'argparse'))))")
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                             env={**os.environ, "PYTHONPATH": package_root}, check=True)
     assert result.stdout.strip() == "[]"

@@ -8,6 +8,8 @@ through `errors.expect_shape`.
 
 import math
 import re
+import sys
+import warnings
 from contextlib import contextmanager
 
 import numpy as np
@@ -25,7 +27,8 @@ from crosswise.diagonal import (
     crosswise_forward,
     init_crosswise,
 )
-from crosswise.errors import ParameterError, ShapeError, expect_int, expect_positive, expect_shape
+from crosswise.errors import (ParameterError, ShapeError, expect_finite, expect_int,
+                              expect_positive, expect_shape)
 from crosswise.features import (
     FeatureMap,
     McKernelBlock,
@@ -50,6 +53,8 @@ from crosswise.network import (
     TrainConfig,
     build_network,
     loss_eval,
+    model_from_json,
+    model_to_json,
     network_backward,
     network_forward,
     sgd_step,
@@ -126,7 +131,9 @@ NOT_NUMBERS = st.one_of(st.booleans(), st.just(np.True_), st.text(max_size=3), s
                                array_shapes(min_dims=0, max_dims=2, max_side=2)))
 # Fractions, whole floats, NaN and +-inf, as Python and as NumPy floats.
 NOT_INTEGERS = st.one_of(st.floats(), st.floats().map(np.float64), NOT_NUMBERS)
-NOT_FINITE = st.one_of(st.sampled_from((math.nan, math.inf, -math.inf)), NOT_NUMBERS)
+# NaN, +-inf, and Python integers beyond float64, which `float()` cannot convert.
+NOT_FINITE = st.one_of(st.sampled_from((math.nan, math.inf, -math.inf, 10**400, -10**400)),
+                       NOT_NUMBERS)
 NOT_POSITIVE = st.one_of(NOT_FINITE, st.floats(max_value=0.0, allow_nan=False),
                          st.integers(max_value=0))
 NEGATIVE = st.one_of(NOT_FINITE, st.floats(max_value=-math.ulp(0.0), allow_nan=False),
@@ -206,12 +213,14 @@ ARGUMENTS = {
                              ParameterError, not_one_of(ACTIVATIONS)),
     "NetworkSpec layers": (lambda v: NetworkSpec(v, 0), "network layers", ParameterError,
                            not_a_list_of(*STEP_NET.layers, BLOCK)),
-    "NetworkSpec seed": (lambda v: NetworkSpec(STEP_NET.spec.layers, v), "network seed",
+    "NetworkSpec seed": (lambda v: NetworkSpec(STEP_NET.spec.layers, v), "seed",
                          ParameterError, NOT_INTEGERS),
     "Network layers": (lambda v: Network(v), "network layers", ParameterError,
                        not_a_list_of(*STEP_NET.spec.layers, BLOCK)),
-    "Network seed": (lambda v: Network(STEP_NET.layers, v), "network seed", ParameterError,
+    "Network seed": (lambda v: Network(STEP_NET.layers, v), "seed", ParameterError,
                      NOT_INTEGERS),
+    "model_from_json seed": (lambda v: model_from_json(model_to_json(STEP_NET), v), "seed",
+                             ParameterError, NOT_INTEGERS),
     "TrainConfig learning_rate": (lambda v: TrainConfig(v, 1, 4, "mse", 0), "learning_rate",
                                   ParameterError, NOT_POSITIVE),
     "TrainConfig epochs": (lambda v: TrainConfig(0.1, v, 4, "mse", 0), "epochs",
@@ -526,6 +535,31 @@ def test_expect_positive_takes_finite_positive_numbers_and_zero_only_when_asked(
     expect_positive(0.0, "rate", zero=True)
     with pytest.raises(ParameterError, match=r"rate must be >= 0 and finite, got -0\.5"):
         expect_positive(-0.5, "rate", zero=True)
+
+
+FLOAT64_MAX_INT = int(sys.float_info.max)
+
+
+@pytest.mark.parametrize("value", [10**400, -10**400, FLOAT64_MAX_INT + 1, -FLOAT64_MAX_INT - 1],
+                         ids=["10**400", "-10**400", "max+1", "-max-1"])
+def test_expect_finite_refuses_integers_beyond_float64_without_a_warning(value):
+    """`float()` of them raises a raw OverflowError; the refusal names the value."""
+    with warnings.catch_warnings(), pytest.raises(
+            ParameterError, match=rf"^rate must be a finite number, got {value}$"):
+        warnings.simplefilter("error")
+        expect_finite(value, "rate")
+
+
+@pytest.mark.parametrize("value", [FLOAT64_MAX_INT, -FLOAT64_MAX_INT, sys.float_info.max,
+                                   np.int64(-2**63), np.uint64(2**64 - 1), np.float32(3.0),
+                                   np.float16(-65504.0)])
+def test_expect_finite_takes_every_number_in_float64_range_without_a_warning(value):
+    """The range check is for Python ints only: on NumPy scalars, `abs` overflows for
+    `np.int64(-2**63)` and comparing a float32 with float64's maximum casts that maximum to
+    float32, both with a warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert expect_finite(value, "rate") is value
 
 
 def test_mckernel_block_refuses_bad_factors_with_the_factor_check():
