@@ -153,7 +153,7 @@ def cmd_train(args) -> int:
     net_spec, train_cfg, data_doc, out_doc = load_config(args.config)
     _check_writable(out_doc["history"], out_doc["model"])
     data = build_dataset(data_doc)
-    net = build_network(net_spec)
+    net = _named_call(build_network, [net_spec], ["config.network"], "config.network: ")
     history = _named_call(train_network, [net, train_cfg, data, args.threads],
                           ["config.network", "config.train", "config.data", "--threads"])
     write_csv(out_doc["history"], ("epoch", "loss", "accuracy", "wall_ms"),

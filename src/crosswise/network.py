@@ -303,37 +303,38 @@ def softmax(z: np.ndarray) -> np.ndarray:
     return e / total
 
 
-def _checked_target(kind: str, target, shape: tuple):
-    """`target` as float64 and, for cross_entropy, each row's hot index; refuses an
-    unknown loss, a shape other than `shape` and cross_entropy rows not one-hot."""
+def _checked_target(kind: str, target, shape: tuple) -> np.ndarray:
+    """The loss's one target: `target` as float64 for mse, each row's hot index for
+    cross_entropy.  Refuses an unknown loss, a shape not `shape`, rows not one-hot."""
     expect_choice(kind, LOSS_KINDS, "loss")
     target = np.asarray(expect_shape(target, shape, "target"), dtype=np.float64, order="C")
     if kind == "mse":
-        return target, None
+        return target
     if not (((target == 0.0) | (target == 1.0)).all() and (target.sum(axis=-1) == 1.0).all()):
         raise ParameterError("cross_entropy target must be one-hot")
-    return target, target.argmax(axis=-1)
+    return target.argmax(axis=-1)
 
 
-def _loss_and_gradient(kind: str, prediction: np.ndarray, target: np.ndarray, labels):
-    """(mean loss over the rows, gradient of each row's own loss) for a checked
-    target; for cross_entropy, `labels` holds the hot index of each target row."""
+def _loss_and_gradient(kind: str, prediction: np.ndarray, target: np.ndarray):
+    """(mean loss over the rows, C-ordered gradient of each row's own loss) for a checked
+    target: for mse a float array, for cross_entropy each row's class index."""
     if kind == "mse":
         diff = prediction - target
         loss = np.add.reduce(diff * diff, axis=None) / diff.size
         return float(loss), 2.0 * diff / prediction.shape[-1]
     # -log softmax(prediction)[hot] with log-sum-exp stabilization, and its
-    # gradient softmax(prediction) - target, from one shift, exp and row sum.
+    # gradient softmax(prediction) - onehot, from one shift, exp and row sum.
     shifted, e, total = _shifted_exp(prediction)
-    hot = shifted.ravel()[labels.reshape(-1) + np.arange(0, shifted.size, shifted.shape[-1])]
-    return float(np.add.reduce(np.log(total).ravel() - hot) / hot.size), e / total - target
+    at = target.reshape(-1) + np.arange(0, shifted.size, shifted.shape[-1])  # flat hot indices
+    g = np.divide(e, total, order="C")
+    g.reshape(-1)[at] -= 1.0  # subtracting the one-hot's zeros would change no bit
+    return float(np.add.reduce(np.log(total).ravel() - shifted.ravel()[at]) / at.size), g
 
 
 def loss_eval(kind: str, prediction: np.ndarray, target: np.ndarray) -> float:
     """Loss of one prediction vector, or the mean loss over the rows of a batch."""
     prediction = np.asarray(expect_shape(prediction, (..., None), "prediction"), dtype=np.float64)
-    target, labels = _checked_target(kind, target, prediction.shape)
-    return _loss_and_gradient(kind, prediction, target, labels)[0]
+    return _loss_and_gradient(kind, prediction, _checked_target(kind, target, prediction.shape))[0]
 
 
 def network_backward(net: Network, x: np.ndarray, target: np.ndarray, loss_kind: str) -> list:
@@ -342,13 +343,13 @@ def network_backward(net: Network, x: np.ndarray, target: np.ndarray, loss_kind:
     For a `(B, d)` batch the gradients are those of the sum of the rows' losses.
     """
     x = np.asarray(expect_shape(x, (..., net.in_dim), "layer 0 input"), dtype=np.float64)
-    target, labels = _checked_target(loss_kind, target, (*x.shape[:-1], net.out_dim))
-    return _backward_with_loss(net, x, target, labels, loss_kind)[0]
+    target = _checked_target(loss_kind, target, (*x.shape[:-1], net.out_dim))
+    return _backward_with_loss(net, x, target, loss_kind)[0]
 
 
-def _backward_with_loss(net: Network, x, target, labels, loss_kind):
+def _backward_with_loss(net: Network, x, target, loss_kind):
     prediction, caches = _forward_with_caches(net, x)
-    loss, g = _loss_and_gradient(loss_kind, prediction, target, labels)
+    loss, g = _loss_and_gradient(loss_kind, prediction, target)
     grads: list = [None] * len(net.layers)
     for i in range(len(net.layers) - 1, -1, -1):
         cache, out = caches[i]
@@ -385,7 +386,7 @@ def _targets_for(data, out_dim: int, loss: str) -> np.ndarray:
             raise ShapeError(
                 f"dataset has {data.class_count} classes but the network emits {out_dim}"
             )
-        return np.eye(out_dim)[data.labels]
+        return data.labels if loss == "cross_entropy" else np.eye(out_dim)[data.labels]
     if loss == "cross_entropy":
         raise ParameterError("cross_entropy needs a dataset with classes; "
                              "this one has real-valued labels")
@@ -442,7 +443,7 @@ def train_network(net: Network, cfg: TrainConfig, data, threads: int = 1) -> lis
     """Mutates net in place; returns the per-epoch history.
 
     Targets are built and checked once per call (cross_entropy needs classes).
-    Each epoch gathers its shuffled rows, targets and labels into one copy,
+    Each epoch gathers its shuffled rows and their targets into one copy,
     freed before its accuracy pass, and slices each mini-batch from it: one
     `(B, d)` forward pass, fused loss-and-gradient step and backward pass,
     stepped by its rows' mean gradient.  `threads` has no effect (must be >= 1).
@@ -469,12 +470,11 @@ def train_network(net: Network, cfg: TrainConfig, data, threads: int = 1) -> lis
         started = time.perf_counter()
         order = CounterRng(cfg.seed, stream=epoch).permutation(n)
         xs = np.take(rows.T, order, axis=1).T if staged else rows[order]
-        ts, labels = targets[order], data.labels[order]
+        ts = targets[order]
         loss_sum = 0.0
         for start in range(0, n, cfg.batch_size):
             batch = slice(start, start + cfg.batch_size)
-            grads, batch_loss = _backward_with_loss(stepped, xs[batch], ts[batch],
-                                                    labels[batch], cfg.loss)
+            grads, batch_loss = _backward_with_loss(stepped, xs[batch], ts[batch], cfg.loss)
             size = min(n - start, cfg.batch_size)
             loss_sum += batch_loss * size
             if not math.isfinite(loss_sum):  # before the step: a diverged batch writes nothing
@@ -483,7 +483,7 @@ def train_network(net: Network, cfg: TrainConfig, data, threads: int = 1) -> lis
                 for g in layer_grads.values():
                     g *= 1.0 / size
             sgd_step(stepped, grads, cfg.learning_rate)
-        del xs, ts, labels  # one gathered copy at a time, none in the accuracy pass
+        del xs, ts  # one gathered copy at a time, none in the accuracy pass
         history.append(
             EpochRecord(
                 epoch=epoch,

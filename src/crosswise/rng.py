@@ -52,6 +52,17 @@ _U64_GOLDEN = np.uint64(_GOLDEN)
 _INV_2_53 = 2.0 ** -53
 # Entries per chunk of every draw, and pairs per chi(n) worker: output plus O(_CHUNK) memory.
 _CHUNK = 2 ** 15
+# The largest count of a draw: its array of 8-byte entries (one more for normal's odd count)
+# stays within the bytes NumPy can index.  A larger one is refused here, naming the count.
+_MAX_COUNT = np.iinfo(np.intp).max // 8 - 1
+
+
+def _expect_count(count, context: str) -> int:
+    """`count` as an int in [0, _MAX_COUNT]; else ParameterError, naming its repr."""
+    count = expect_int(count, context, ParameterError, 0)
+    if count > _MAX_COUNT:
+        raise ParameterError(f"{context} must be at most {_MAX_COUNT}, got {count!r}")
+    return count
 
 
 def _chunks(out: np.ndarray):
@@ -105,7 +116,7 @@ class CounterRng:
 
     def words(self, count: int, out: np.ndarray | None = None) -> np.ndarray:
         """Next `count` 64-bit words as a uint64 array: `out`, a uint64 (count,) array, if given."""
-        count = expect_int(count, "word count", ParameterError, 0)
+        count = _expect_count(count, "word count")
         out = np.empty(count, np.uint64) if out is None else _expect_out(
             out, (count,), np.uint64, "words out")  # refused before the cursor moves
         first, self._counter = self._key + self._counter * _GOLDEN, self._counter + count
@@ -123,7 +134,7 @@ class CounterRng:
     def uniform(self, count: int, low: float = 0.0, high: float = 1.0) -> np.ndarray:
         """low + (high - low) * u of `count` uniforms u in [0, 1), scaled in place."""
         low, high = expect_finite(low, "low"), expect_finite(high, "high")
-        out = np.empty(expect_int(count, "word count", ParameterError, 0))
+        out = np.empty(_expect_count(count, "word count"))
         for _, part in _chunks(out):
             words = self.words(part.size)
             np.copyto(part, np.right_shift(words, np.uint64(11), out=words))  # exact: < 2^53
@@ -133,7 +144,7 @@ class CounterRng:
         return out
 
     def normal(self, count: int) -> np.ndarray:
-        count = expect_int(count, "normal count", ParameterError, 0)  # before any draw
+        count = _expect_count(count, "normal count")  # before any draw
         draw, out = self.normal_pairs(count), np.empty((2, (count + 1) // 2))
         for start, part in _chunks(out):
             draw(start, part.shape[1], out=part)
@@ -147,7 +158,7 @@ class CounterRng:
         position, count, start and size.  normal(count) is all cos parts, then all sin parts,
         truncated to count.
         """
-        half = (expect_int(count, "normal count", ParameterError, 0) + 1) // 2
+        half = (_expect_count(count, "normal count") + 1) // 2
         base, self._counter = self._counter, self._counter + 2 * half
 
         def draw(start: int, size: int, out: np.ndarray | None = None) -> np.ndarray:
@@ -174,7 +185,7 @@ class CounterRng:
         return draw
 
     def rademacher(self, count: int) -> np.ndarray:
-        out = np.empty(expect_int(count, "word count", ParameterError, 0))
+        out = np.empty(_expect_count(count, "word count"))
         for _, part in _chunks(out):  # 2b - 1 of each word's bit 0, b: exactly +1.0 or -1.0
             np.multiply(np.bitwise_and(self.words(part.size), np.uint64(1)), 2.0, out=part)
             part -= 1.0
@@ -184,14 +195,14 @@ class CounterRng:
         """Integers in [low, high), via modulo (bias negligible for high - low << 2^64)."""
         low = expect_int(low, "low", ParameterError)
         span = np.uint64(expect_int(high, "high", ParameterError, low + 1) - low)  # low < high
-        out = np.empty(expect_int(count, "word count", ParameterError, 0), np.int64)
+        out = np.empty(_expect_count(count, "word count"), np.int64)
         for _, part in _chunks(out):
             np.copyto(part, np.remainder(words := self.words(part.size), span, out=words))
             part += low
         return out
 
     def permutation(self, n: int) -> np.ndarray:
-        n = expect_int(n, "permutation length", ParameterError, 0)
+        n = _expect_count(n, "permutation length")
         perm = list(range(n))
         if n > 1:
             # One array operation takes every modulus (i + 1); the swaps run on

@@ -10,6 +10,7 @@ import pytest
 from crosswise import cli
 from crosswise.network import model_from_json, model_to_json
 from crosswise.products import IdentityCheck, IdentityReport
+from crosswise.rng import _MAX_COUNT, CounterRng
 
 
 def run_cli(*args, cwd=None):
@@ -346,6 +347,15 @@ def test_kernel_check_rejects_zero_pairs(tmp_path):
     assert result.returncode == 2
 
 
+def test_kernel_check_refuses_a_degenerate_pair_draw(tmp_path, monkeypatch, capsys):
+    """A point drawn at the origin has no direction: exit 1, and no CSV."""
+    monkeypatch.setattr(CounterRng, "normal", lambda self, count: np.zeros(count))
+    out = tmp_path / "k.csv"
+    assert cli.main(["kernel-check", "--pairs", "2", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: degenerate pair draw; use a different seed\n"
+    assert not out.exists()
+
+
 def test_algebra_check_passes(tmp_path):
     out = tmp_path / "algebra.csv"
     result = run_cli("algebra-check", "--seed", "7", "--max-dim", "4",
@@ -433,6 +443,17 @@ def test_gen_data_refusals_name_the_flag(tmp_path, capsys, argv, message):
     assert not out.exists()
 
 
+def test_gen_data_refuses_a_count_numpy_cannot_index(tmp_path, capsys):
+    """Exit 2 with the draw's refusal, not NumPy's ValueError: 10**22 samples are 2 * 10**22
+    uniforms."""
+    out = tmp_path / "x.csv"
+    assert cli.main(["gen-data", "--kind", "xor", "--samples", str(10**22),
+                     "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"error: word count must be at most {_MAX_COUNT}, "
+                                       f"got {2 * 10**22}\n")
+    assert not out.exists()
+
+
 XOR_DATA = {"kind": "xor", "seed": 1, "samples": 64, "noise": 0.1}
 
 
@@ -507,6 +528,25 @@ def test_train_layer_refusals_name_the_key(tmp_path, capsys, layer, key, value, 
     assert cli.main(["train", "--config", write_config(tmp_path, cfg)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "history.csv").exists()
+
+
+# (section, key, the refusal) of a count of 10**22: 2 * 10**22 blobs of 4 normals, and the
+# first dense layer's 10**22 * 8 weights.
+OVERSIZED_COUNTS = [
+    ("data", "samples_per_class", "config.data: normal count"),
+    ("network.layers[0]", "in", "config.network: word count"),
+]
+
+
+@pytest.mark.parametrize("section, key, refusal", OVERSIZED_COUNTS,
+                         ids=[key for _, key, _ in OVERSIZED_COUNTS])
+def test_train_refuses_a_count_numpy_cannot_index(tmp_path, capsys, section, key, refusal):
+    """Exit 2 with the draw's refusal, not NumPy's ValueError, and no output."""
+    cfg, _ = _config_with(tmp_path, section, key, 10**22)
+    assert cli.main(["train", "--config", write_config(tmp_path, cfg)]) == 2
+    assert capsys.readouterr().err == (f"error: {refusal} must be at most {_MAX_COUNT}, "
+                                       f"got {8 * 10**22}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
 
 
 # (section, key, whether it is an integer) for every key of the network, layer, train and

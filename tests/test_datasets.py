@@ -6,8 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crosswise.datasets import Dataset, gen_blobs, gen_xor, load_csv, save_csv
-from crosswise.errors import ParameterError, ShapeError
-from crosswise.rng import _CHUNK
+from crosswise.errors import ParameterError, SamplingError, ShapeError
+from crosswise.rng import _CHUNK, CounterRng
 
 from oracles import blob_features, perceptron_separable, xor_points
 
@@ -29,6 +29,13 @@ def test_dataset_validation():
                     class_count=2)
         with pytest.raises(ParameterError):
             Dataset(features=np.zeros((2, 2)), labels=np.array([0.5, bad]), class_count=0)
+
+
+def test_blobs_refuse_a_degenerate_center_draw(monkeypatch):
+    """A center drawn at the origin has no direction to scale to radius 3."""
+    monkeypatch.setattr(CounterRng, "normal", lambda self, count: np.zeros(count))
+    with pytest.raises(SamplingError, match="^degenerate center draw; use a different seed$"):
+        gen_blobs(seed=0, samples_per_class=3, dims=2, class_count=2, spread=0.3)
 
 
 def test_blobs_construction():

@@ -185,8 +185,8 @@ def test_the_head_gradient_is_c_ordered_whatever_the_logits_layout(loss, order):
     so the diagonal layers' row sums never run pairwise.  Unlike the trained-bytes pins,
     which would also see a Fortran-ordered one, this runs on every CPU."""
     logits = np.asarray(CounterRng(8).normal(5 * 4).reshape(5, 4), order=order)
-    target, labels = network._checked_target(loss, np.eye(4)[[0, 3, 1, 1, 2]], logits.shape)
-    assert network._loss_and_gradient(loss, logits, target, labels)[1].flags.c_contiguous
+    target = network._checked_target(loss, np.eye(4)[[0, 3, 1, 1, 2]], logits.shape)
+    assert network._loss_and_gradient(loss, logits, target)[1].flags.c_contiguous
 
 
 def test_loss_eval_errors():

@@ -190,3 +190,23 @@ def test_a_singular_draw_is_redrawn_up_to_the_attempt_budget(monkeypatch, singul
     # (if one passed) khatri_rao_assoc's first factor
     expected = ["_plain"] * 4 + ["_boosted"] * 2 * min(singular + 1, MAX_RESAMPLE_ATTEMPTS)
     assert [kind for kind, _, _ in drawn][: len(expected) + 1] == expected + ["_plain"] * redrawn
+
+
+@pytest.mark.parametrize("singular", [15, 16])
+def test_the_attempt_budget_is_the_16_that_readme_documents(monkeypatch, singular):
+    """15 singular draws of one identity, then a full-rank one, pass; 16 exhaust the budget.
+    Written as literals, so that a changed MAX_RESAMPLE_ATTEMPTS fails here."""
+    calls = []
+
+    def pinv(m):
+        calls.append(m.shape)
+        if len(calls) <= singular:
+            raise SingularMatrixError("singular draw")
+        return pinv_full_rank(m)
+
+    monkeypatch.setattr(products, "pinv_full_rank", pinv)
+    if singular == 15:
+        assert verify_identities(7, 4, draws=1).passed
+    else:
+        with pytest.raises(SamplingError, match="within 16 attempts"):
+            verify_identities(7, 4, draws=1)

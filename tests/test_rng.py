@@ -204,19 +204,25 @@ def test_frozen_normal_values(seed, stream, count, expected):
     np.testing.assert_allclose(z[[0, 1, count // 2, count - 1]], expected, rtol=1e-13, atol=0)
 
 
-# (method, count, further arguments): fractions, negatives, bools and strings.
+# (method, count, further arguments): fractions, negatives, bools, strings, and counts
+# larger than NumPy can index, which NumPy itself would refuse without naming them.
 BAD_COUNTS = [
     ("words", 2.5, ()), ("words", -1, ()), ("words", True, ()),
     ("permutation", -2, ()), ("permutation", 2.0, ()),
     ("normal", -3, ()), ("normal", 3.0, ()), ("normal_pairs", -1, ()),
     ("rademacher", True, ()), ("uniform", "4", ()), ("integers", np.bool_(False), (0, 3)),
+    *((method, 2 ** 63, args) for method, args in (
+        ("words", ()), ("uniform", ()), ("normal", ()), ("normal_pairs", ()),
+        ("rademacher", ()), ("integers", (0, 3)), ("permutation", ()))),
+    # An odd count whose 2 * ceil(count / 2) 8-byte entries are one past what NumPy can index.
+    ("normal", np.iinfo(np.intp).max // 8, ()),
 ]
 
 
 @pytest.mark.parametrize("method, count, args", BAD_COUNTS)
 def test_bad_count_refused_before_the_cursor_moves(method, count, args):
-    """A count that is not a non-negative integer raises ValueError naming it,
-    and the next draw is the one a fresh cursor makes."""
+    """A count that is not a non-negative integer, or is larger than NumPy can index,
+    raises ValueError naming it, and the next draw is the one a fresh cursor makes."""
     rng = CounterRng(9, stream=2)
     with pytest.raises(ValueError, match=re.escape(repr(count))):
         getattr(rng, method)(count, *args)
